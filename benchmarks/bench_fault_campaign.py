@@ -4,9 +4,10 @@ Three questions an operator asks before enabling the robustness layer:
 
 1. how fast do campaigns run (faults simulated per second), i.e. what
    does a nightly exhaustive stuck-at sweep cost?
-2. how much denser do sweeps pack under the wide-lane vector engine —
-   faults per sweep versus the compiled 63-slot quantum, with the
-   classification identity that makes the density trustworthy?
+2. how much denser do sweeps pack at the ``vector`` backend's
+   4096-lane quantum (the compiled kernel, wider sweeps) — faults per
+   sweep versus the compiled 63-slot quantum, with the classification
+   identity that makes the density trustworthy?
 3. what does online checking cost per conversion — bijectivity alone,
    and with the rank∘unrank oracle — relative to the bare converter?
 """
@@ -63,7 +64,7 @@ def test_stuck_campaign_throughput(benchmark, results_dir):
 
 
 def test_vector_campaign_faults_per_sweep(benchmark, results_dir):
-    """The vector engine packs a whole campaign into a handful of sweeps.
+    """The 4096-lane compiled quantum packs a campaign into one sweep.
 
     Sweep counts are deterministic (pure slot arithmetic, no timing), so
     the ≥ 8× density ratio and the classification identity hold on any

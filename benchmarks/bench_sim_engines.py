@@ -1,22 +1,20 @@
-"""Engine shoot-out: compiled bigints vs NumPy vector vs the interpreter.
+"""Engine shoot-out: compiled bigints vs the interpreter.
 
-Three claims the packed engines make (DESIGN.md §8), each asserted here
+Two claims the compiled engine makes (DESIGN.md §8), each asserted here
 with the bit-identity guarantee that makes the speed worth trusting:
 
 1. a pipelined batch sweep — every index of the n=8 converter pushed
    through the gate-level pipeline in one packed batch — runs ≥ 20×
    faster compiled than interpreted, with bit-identical outputs that
    also match the stage-accurate functional model;
-2. the vector engine (the same kernels over NumPy ``uint64`` word
-   arrays) stays bit-identical to compiled on that sweep, and its
-   relative speed is recorded as ``vector_vs_compiled_speedup_x``;
-3. an exhaustive stuck-at campaign runs ≥ 10× faster end to end under
+2. an exhaustive stuck-at campaign runs ≥ 10× faster end to end under
    the fault-parallel compiled path than one-fault-per-run
    interpretation, with identical classification counts and examples —
-   and identical again under the vector engine's wide sweeps.
+   and identical again at the ``vector`` backend's 4096-lane quantum
+   (the same compiled kernel, wider sweeps).
 
 Smoke mode (``REPRO_BENCH_SMOKE=1``, used by CI) shrinks to n=6 and
-only requires the packed engines not to lose: the container running CI
+only requires the compiled engine not to lose: the container running CI
 is too noisy for ratio thresholds, but identity must still hold.
 """
 
@@ -59,7 +57,6 @@ def test_engine_speedup_and_identity(benchmark, results_dir):
 
     # -- pipelined batch sweep ------------------------------------------ #
     _sweep(nl, stream, batch, "compiled", False)  # warm the kernel cache
-    _sweep(nl, stream, batch, "vector", False)
     interp_s, interp_out = min(
         (_sweep(nl, stream, batch, "interp", True) for _ in range(TRIALS)),
         key=lambda r: r[0],
@@ -68,26 +65,20 @@ def test_engine_speedup_and_identity(benchmark, results_dir):
         (_sweep(nl, stream, batch, "compiled", False) for _ in range(TRIALS)),
         key=lambda r: r[0],
     )
-    vector_s, vector_out = min(
-        (_sweep(nl, stream, batch, "vector", False) for _ in range(TRIALS)),
-        key=lambda r: r[0],
-    )
     benchmark.pedantic(
         lambda: _sweep(nl, stream, batch, "compiled", False),
         rounds=1,
         iterations=1,
     )
 
-    assert interp_out.keys() == compiled_out.keys() == vector_out.keys()
+    assert interp_out.keys() == compiled_out.keys()
     for name in interp_out:
         assert np.array_equal(interp_out[name], compiled_out[name]), name
-        assert np.array_equal(compiled_out[name], vector_out[name]), name
     golden = conv.convert_batch(indices)
     for pos in range(N):
         assert np.array_equal(compiled_out[f"out{pos}"], golden[:, pos])
 
     sweep_speedup = interp_s / compiled_s
-    vector_vs_compiled = compiled_s / vector_s
     assert sweep_speedup >= MIN_SWEEP_SPEEDUP, (
         f"sweep speedup {sweep_speedup:.1f}x below {MIN_SWEEP_SPEEDUP}x "
         f"(interp {interp_s * 1e3:.1f}ms, compiled {compiled_s * 1e3:.1f}ms)"
@@ -115,14 +106,12 @@ def test_engine_speedup_and_identity(benchmark, results_dir):
     write_report(
         results_dir,
         "sim_engines",
-        f"Simulation engines: interpreter vs compiled bigints vs NumPy "
-        f"vector (converter n={N}, pipelined)\n"
+        f"Simulation engines: interpreter vs compiled bigints "
+        f"(converter n={N}, pipelined)\n"
         f"batch sweep ({batch} lanes x {cycles} cycles):\n"
         f"  interp   : {interp_s * 1e3:9.1f} ms\n"
         f"  compiled : {compiled_s * 1e3:9.1f} ms   "
         f"({sweep_speedup:.1f}x, bit-identical, matches functional model)\n"
-        f"  vector   : {vector_s * 1e3:9.1f} ms   "
-        f"({vector_vs_compiled:.2f}x vs compiled, bit-identical)\n"
         f"exhaustive stuck-at campaign ({faults} faults):\n"
         f"  interp   : {res_i.wall_s:9.2f} s   ({res_i.sweeps} sweeps)\n"
         f"  compiled : {res_c.wall_s:9.2f} s   ({res_c.sweeps} sweeps, "
@@ -138,9 +127,7 @@ def test_engine_speedup_and_identity(benchmark, results_dir):
             "cycles": cycles,
             "sweep_interp_s": interp_s,
             "sweep_compiled_s": compiled_s,
-            "sweep_vector_s": vector_s,
             "sweep_speedup_x": sweep_speedup,
-            "vector_vs_compiled_speedup_x": vector_vs_compiled,
             "campaign_faults": faults,
             "campaign_interp_s": res_i.wall_s,
             "campaign_compiled_s": res_c.wall_s,

@@ -4,7 +4,7 @@ The paper's §IV validation (Fig. 4 uniformity, derangements → e) runs at
 demo scale: materialise a ``(B, n)`` array, histogram it densely, test.
 This module is the population-scale version — a pipeline that consumes
 engine output lazily (``BatchEntry.run_stream(materialize=False)`` on
-the interp / compiled / vector engines) and folds every block into
+the interpreter or the compiled kernels) and folds every block into
 **mergeable accumulators**, so 10⁸+ permutations are validated in
 O(cells) memory with never a permutation array larger than one block.
 
@@ -154,10 +154,13 @@ class CampaignConfig:
     through the configured simulation engine.
 
     ``engine`` picks the simulation backend (``interp`` / ``compiled``
-    / ``vector`` / ``auto``).  It is deliberately **excluded** from the
-    fingerprint: all engines are bit-identical on the same netlist (the
-    cross-engine test asserts it), so a campaign checkpointed under one
-    engine may legally resume under another.
+    / ``vector`` / ``auto``).  A block is one sweep of ``block`` lanes
+    whatever the engine, so ``vector`` — the compiled kernel under a
+    4096-lane quantum — streams exactly as ``compiled`` does.  The
+    engine is deliberately **excluded** from the fingerprint: all
+    engines are bit-identical on the same netlist (the cross-engine
+    test asserts it), so a campaign checkpointed under one engine may
+    legally resume under another.
     """
 
     n: int = 8

@@ -104,11 +104,17 @@ __all__ = [
 #: Maximum number of compiled kernels retained (LRU eviction beyond it).
 KERNEL_CACHE_LIMIT = 128
 
-#: Payload lanes per packed sweep quantum.  63 payload lanes plus one
-#: spare keep every packed wire value inside a single 64-bit word — the
-#: cheapest big-int a sweep can carry.  Fault-parallel campaigns spend
-#: the spare lane on the golden (fault-free) slot; the serving layer's
-#: micro-batcher coalesces up to this many requests into one sweep.
+#: Payload lanes per packed sweep quantum of the compiled engine.  This
+#: is a policy, not a kernel limit: packed lanes are CPython bigints
+#: (30-bit digits), which run at any width.  63 is the default serving
+#: batch — the micro-batcher coalesces up to this many requests into one
+#: sweep — and the default campaign width: 63 faults plus one golden
+#: (fault-free) slot.  Wider sweeps cost memory rather than time, since
+#: every live wire holds a wider value at once: the exhaustive n=8
+#: stuck-at campaign in one 4096-lane sweep peaks at about 165 MB
+#: process RSS against 63 MB at this width (n=9: 234 vs 68 MB; CPython
+#: 3.11, x86-64).  The ``vector`` backend (:mod:`repro.hdl.vector`) is
+#: this engine at 4096 lanes.
 SWEEP_LANES = 63
 
 _COMPILE_WALL = _metrics.REGISTRY.histogram(

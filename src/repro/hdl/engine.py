@@ -1,12 +1,13 @@
 """The unified simulation-engine protocol and registry.
 
 Every simulation backend — the boolean interpreter, the compiled
-bit-packed bigint kernels, the NumPy wide-lane vector kernels — is one
-:class:`Engine` subclass registered here.  The simulators, the serving
-layer, fault campaigns and the CLI all resolve a ``backend`` string
-through :func:`resolve_backend` instead of keeping their own
-``if backend == ...`` chains, so a new backend (a C kernel via cffi, a
-multiprocess shard engine) drops in by defining one class.
+bit-packed bigint kernels, and ``vector`` (those same compiled kernels
+at a 4096-lane quantum) — is one :class:`Engine` subclass registered
+here.  The simulators, the serving layer, fault campaigns and the CLI
+all resolve a ``backend`` string through :func:`resolve_backend`
+instead of keeping their own ``if backend == ...`` chains, so a new
+backend (a C kernel via cffi, a multiprocess shard engine) drops in by
+defining one class.
 
 Capabilities, not names
 -----------------------
@@ -37,9 +38,9 @@ Resolution rules (the fallback matrix):
 * ``backend="auto"`` picks the highest-priority engine whose
   :meth:`Engine.accepts` admits the ``(probe, overlay)`` pair.  The
   built-in priorities keep the historical behaviour exactly: compiled
-  whenever it can serve, interpreter otherwise; the vector engine is an
-  explicit opt-in (``backend="vector"``) because its per-sweep NumPy
-  dispatch only pays off on wide batches.
+  whenever it can serve, interpreter otherwise; ``vector`` is an
+  explicit opt-in (``backend="vector"``) because its wider quantum
+  costs memory that the default 63-lane width does not.
 * An explicit backend that cannot serve the request (a probe on a
   packed engine, a bridging overlay) falls back to the fully-general
   engine — the interpreter — rather than failing, mirroring the

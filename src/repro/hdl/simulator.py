@@ -1,8 +1,9 @@
 """Vectorised netlist simulation.
 
 Every simulator ``backend`` knob resolves through the engine registry
-(:mod:`repro.hdl.engine`).  This module defines and registers two of
-the builtin engines; the third lives in :mod:`repro.hdl.vector`:
+(:mod:`repro.hdl.engine`).  This module defines and registers the two
+simulation engines; :mod:`repro.hdl.vector` registers a third name for
+the compiled one:
 
 * ``"interp"`` (:class:`InterpEngine`) — single-pass interpretation of
   the levelised gate list, one NumPy boolean array per wire.  Fully
@@ -12,9 +13,10 @@ the builtin engines; the third lives in :mod:`repro.hdl.vector`:
   code-generated once into straight-line Python over bit-packed integer
   lanes (one *bit* per Monte-Carlo lane), giving order-of-magnitude
   speedups on batched sweeps.  Bit-identical to the interpreter.
-* ``"vector"`` (:class:`~repro.hdl.vector.VectorEngine`) — the same
-  kernels over NumPy ``uint64`` word arrays, breaking the 63-lane
-  quantum for wide sweeps (fault campaigns, bulk serving).
+* ``"vector"`` (:class:`~repro.hdl.vector.VectorEngine`) — the
+  compiled engine with a 4096-lane sweep quantum instead of 63, for
+  wide sweeps (fault campaigns, bulk serving).  Same kernels, same
+  code path; only the capability record differs.
 * ``"auto"`` (default) — the highest-priority engine whose declared
   capabilities accept the request (see
   :func:`repro.hdl.engine.resolve_backend`); with the builtin
@@ -243,8 +245,8 @@ def packed_bit_columns(arr: np.ndarray, width: int) -> np.ndarray:
     """Transpose a machine-word batch into packed per-bit lane rows.
 
     Returns ``(width, ceil(len(arr)/8))`` uint8: row j holds bit j of
-    every value, packed little-endian — the byte layout of both packed
-    lane integers and the vector engine's word arrays.  ``unpackbits``
+    every value, packed little-endian — the byte layout of packed lane
+    integers (:func:`~repro.hdl.compile.pack_lanes`).  ``unpackbits``
     runs over the *contiguous* value-major byte matrix (one C sweep)
     and only the 1-byte-per-bit intermediate is transposed; unpacking
     along the strided transpose instead costs ~9× on wide batches.
@@ -537,6 +539,7 @@ class CombinationalSimulator:
         batch: int,
         reg_state: Mapping[int, np.ndarray] | None,
         overlay: Any,
+        engine: str,
     ) -> dict[str, np.ndarray]:
         nl = self.netlist
         if reg_state:
@@ -580,7 +583,7 @@ class CombinationalSimulator:
 
         outs = kern.fn(leaves, masks, zero, ones)
         self._wire_values = []  # the compiled engine keeps no wire table
-        _observe_sweep("compiled", batch)
+        _observe_sweep(engine, batch)
         return _outputs_from_packed(
             [
                 (name, [outs[kern.index[w]] for w in bus])
@@ -698,7 +701,7 @@ class BatchEntry:
                 if pos is not None:
                     leaves[pos] = value
         outs = self.kernel.fn(leaves, {}, zero, ones)
-        _observe_sweep("compiled", batch)
+        _observe_sweep(self.engine.name, batch)
         index = self.kernel.index
         buses = {
             name: [outs[index[w]] for w in bus]
@@ -749,9 +752,6 @@ class SequentialSimulator:
         self._inc_state: list[Any] | None = None
         self._zero = 0
         self._ones = ones_mask(batch)
-        #: engine-private session scratch (e.g. the vector engine's
-        #: word-array state); cleared by the ``state`` setter
-        self._scratch: dict[str, Any] = {}
         self.reset()
 
     # -- state access --------------------------------------------------- #
@@ -769,7 +769,6 @@ class SequentialSimulator:
     def state(self, value: Mapping[int, np.ndarray]) -> None:
         self._bool_state = dict(value)
         self._packed_state = None
-        self._scratch.pop("state", None)
 
     def reset(self) -> None:
         """Load every register with its init value; rewind the cycle count."""
@@ -908,7 +907,7 @@ class SequentialSimulator:
         self._packed_state = {r.q: outs[kern.index[r.d]] for r in nl.registers}
         self._bool_state = None
         self.cycle += 1
-        _observe_sweep("compiled", batch)
+        _observe_sweep(self.engine.name, batch)
         return outs, kern
 
     def _pack_inputs(
@@ -1056,9 +1055,10 @@ class InterpEngine(Engine):
 class CompiledEngine(Engine):
     """The bit-packed bigint kernels of :mod:`repro.hdl.compile`.
 
-    Highest ``auto_priority``: per-sweep dispatch cost is the lowest of
-    the three engines at the ≤ 63-payload-lane quantum, so ``auto``
-    picks it whenever the request compiles to per-lane masks.
+    Highest ``auto_priority``: ``auto`` picks it whenever the request
+    compiles to per-lane masks.  Its 63-lane quantum is a policy, not a
+    kernel limit — bigint lanes run at any width, and the ``vector``
+    backend (:mod:`repro.hdl.vector`) is this engine at 4096 lanes.
     """
 
     name = "compiled"
@@ -1075,7 +1075,7 @@ class CompiledEngine(Engine):
 
     @classmethod
     def comb_run(cls, sim, seqs, batch, reg_state, overlay):
-        return sim._run_compiled(seqs, batch, reg_state, overlay)
+        return sim._run_compiled(seqs, batch, reg_state, overlay, cls.name)
 
     @classmethod
     def batch_run(cls, entry, seqs, batch, materialize):

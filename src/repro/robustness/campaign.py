@@ -33,7 +33,7 @@ from repro.analysis.faultcoverage import wilson_interval
 from repro.errors import CampaignConfigError
 from repro.core.factorial import factorial
 from repro.hdl.compile import SWEEP_LANES, PackedFaultPlan
-from repro.hdl.engine import BACKENDS, engine_capability
+from repro.hdl.engine import BACKENDS, resolve_backend
 from repro.hdl.netlist import Netlist
 from repro.hdl.simulator import CombinationalSimulator, SequentialSimulator
 from repro.obs import metrics as _metrics
@@ -237,9 +237,9 @@ def fault_list(spec: CampaignSpec) -> list[Fault]:
 #: Lane budget per fault slot in a fault-parallel sweep: the slot count
 #: is capped so combinational campaigns with huge test-vector sets do
 #: not explode one sweep's memory.  The packed engine's capability sets
-#: the slot ceiling — 63 faults + 1 golden slot into 4096 lanes on the
-#: compiled engine (one 64-bit word per packed lane-set), 4096 faults +
-#: 1 golden on the vector engine.
+#: the slot ceiling — 63 faults + 1 golden slot on the compiled engine,
+#: 4096 faults + 1 golden on ``vector`` (the compiled engine at a
+#: 4096-lane quantum).
 _LANES_PER_SLOT = 64
 
 
@@ -253,10 +253,9 @@ class _Evaluator:
     * **fault-parallel** (:meth:`run_packed`) — a mask-patching engine
       packs one fault per bit-lane next to a golden lane
       (:class:`~repro.hdl.compile.PackedFaultPlan`), so a single sweep
-      evaluates up to ``chunk_faults`` stuck-at/SEU sites at once.
-      ``spec.engine="vector"`` runs the packed sweeps on the wide-lane
-      NumPy engine (4096 fault slots per sweep); every other
-      fault-parallel selection uses the compiled bigint engine (63).
+      evaluates up to ``chunk_faults`` stuck-at/SEU sites at once.  The
+      selected engine's capability record sizes the slots: 63 under
+      ``auto``/``compiled``, 4096 under ``vector``.
 
     Both produce bit-identical rows (the engines are equivalence-tested
     property-style), so campaign counts and example lists match exactly
@@ -286,10 +285,11 @@ class _Evaluator:
             "stuck",
             "seu",
         )
-        # Which mask-patching engine carries the packed sweeps: vector
-        # when explicitly requested, else the compiled bigint engine.
-        self.packed_backend = "vector" if spec.engine == "vector" else "compiled"
-        slots_cap = engine_capability(self.packed_backend).sweep_lanes + 1
+        # The mask-patching engine that carries the packed sweeps, and
+        # whose sweep quantum caps the fault slots per sweep.
+        packed = resolve_backend(spec.engine)
+        self.packed_backend = packed.name
+        slots_cap = packed.capabilities.sweep_lanes + 1
         if self.combinational:
             per_fault = max(1, len(self.indices))
             budget = _LANES_PER_SLOT * slots_cap

@@ -1,15 +1,15 @@
 """Micro-batcher: coalesces concurrent requests into packed sweep lanes.
 
-The packed engines (:mod:`repro.hdl.compile`, :mod:`repro.hdl.vector`)
-evaluate one netlist over *lanes* — independent bit positions of packed
-words — so a sweep over a full batch costs barely more than a sweep
-over one request.  How many lanes one sweep carries is the engine's
-*sweep quantum*, reported by its capability record
+The compiled kernels (:mod:`repro.hdl.compile`) evaluate one netlist
+over *lanes* — independent bit positions of packed integers — so a
+sweep over a full batch costs barely more than a sweep over one
+request.  How many lanes one sweep carries is the engine's *sweep
+quantum*, reported by its capability record
 (:class:`~repro.hdl.engine.EngineCapabilities`): 63 on the compiled
-bigint engine, 4096 on the vector engine.  The service sizes
-``max_batch`` to that quantum.  The serving hot path holds each
-arriving request for at most a small deadline, hoping to share its
-sweep with others:
+engine, 4096 on ``vector`` (the same kernel, wider quantum).  The
+service sizes ``max_batch`` to that quantum.  The serving hot path
+holds each arriving request for at most a small deadline, hoping to
+share its sweep with others:
 
 * a batch **fills** — the ``max_batch``-th request closes the batch
   immediately (no deadline wait) and the whole group rides one sweep;

@@ -41,8 +41,9 @@ class ConverterEngine:
 
     ``backend`` selects the simulation engine through the registry
     (:mod:`repro.hdl.engine`): ``"compiled"`` (bigint lanes, the
-    63-payload-lane quantum) by default, ``"vector"`` for wide-lane
-    NumPy sweeps when the service admits batches beyond 63.
+    63-payload-lane quantum) by default, ``"vector"`` for the same
+    kernel at a 4096-lane quantum when the service admits batches
+    beyond 63.
     """
 
     kind = "converter"

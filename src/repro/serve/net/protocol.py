@@ -93,7 +93,8 @@ PROTOCOL_VERSION = 1
 MAX_REQUEST_FRAME = 64 * 1024
 MAX_RESPONSE_FRAME = 1024 * 1024
 
-#: The widest sweep quantum any engine reports (vector: 4096 lanes).
+#: The widest sweep quantum any engine reports (``vector``: the compiled
+#: kernel at 4096 lanes).
 MAX_COUNT = 4096
 
 STATUS_OK = 0
@@ -198,6 +199,18 @@ class FrameDecoder:
         return frames
 
 
+#: Indices travel as u64, which holds every index up to n = 20
+#: (20! < 2**64 < 21!); a larger or negative index cannot be framed.
+_INDEX_LIMIT = 1 << 64
+
+
+def _pack_indices(idx: tuple[int, ...]) -> bytes:
+    for i in idx:
+        if not (0 <= i < _INDEX_LIMIT):
+            raise ProtocolError(f"index {i} does not fit the u64 wire field")
+    return struct.pack(f"!{len(idx)}Q", *idx)
+
+
 def _frame(body: bytes, max_frame: int) -> bytes:
     if len(body) > max_frame:
         raise ProtocolError(f"frame of {len(body)} bytes exceeds cap {max_frame}")
@@ -226,7 +239,7 @@ def encode_request(
         idx = tuple(indices) if indices is not None else ()
         if len(idx) != count:
             raise ProtocolError(f"unrank frame needs {count} indices, got {len(idx)}")
-        body = header + struct.pack(f"!{count}Q", *idx)
+        body = header + _pack_indices(idx)
     else:
         if indices:
             raise ProtocolError(f"workload {workload!r} carries no indices")
@@ -309,7 +322,7 @@ def encode_response(
                 raise ProtocolError(
                     f"{workload} response needs {count} indices, got {len(idx)}"
                 )
-            parts.append(struct.pack(f"!{count}Q", *idx))
+            parts.append(_pack_indices(idx))
         rows = np.ascontiguousarray(permutations, dtype=np.int64)
         if rows.shape != (count, n):
             raise ProtocolError(

@@ -8,9 +8,9 @@ same shard) run on separate cores:
 
 * one **shard group** per batch key ``(kind, n)``, holding
   ``PoolConfig.workers`` replica processes.  Each replica owns a private
-  engine — the wide-lane vector engine when the sweep quantum justifies
-  it, the compiled bigint engine otherwise (``engine="auto"``) — plus a
-  private :class:`~repro.serve.cache.ResultCache` for converter shards;
+  compiled-kernel engine, its ring slots sized to the service's
+  ``max_batch`` lanes, plus a private
+  :class:`~repro.serve.cache.ResultCache` for converter shards;
 * a **control pipe** per replica carries tiny messages only: the sweep
   order (indices or lane count) down, ``(ok, job, rows, hits, misses)``
   back.  The permutation words themselves travel through a
@@ -60,7 +60,6 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
-from repro.core.factorial import index_width
 from repro.errors import (
     FaultDetectedError,
     ServiceDegradedError,
@@ -126,11 +125,9 @@ _POOL_WORKER_SWEEPS = _metrics.REGISTRY.counter(
 class PoolConfig:
     """Tuning knobs for :class:`WorkerPool`.
 
-    ``workers`` is the replica count per shard group.  ``engine`` picks
-    the worker-side sweep backend; the default ``"auto"`` rule follows
-    the measured crossover — the NumPy vector engine only beats the
-    compiled bigint engine from a few hundred lanes per sweep, so small
-    sweep quanta stay compiled.  ``ring_slots`` sizes the shared-memory
+    ``workers`` is the replica count per shard group.  Workers always
+    sweep the compiled kernel; the service's ``max_batch`` sets how many
+    lanes one sweep carries.  ``ring_slots`` sizes the shared-memory
     result ring (slots × one full sweep each).  ``queue_limit_sweeps``
     bounds in-flight sweeps per shard before admission sheds (default
     ``4 × workers``).  ``start_method`` picks the multiprocessing start
@@ -141,7 +138,6 @@ class PoolConfig:
     """
 
     workers: int = 2
-    engine: str = "auto"
     sweep_deadline_s: float = 10.0
     spawn_timeout_s: float = 60.0
     restart_backoff_s: float = 0.05
@@ -192,7 +188,6 @@ def _worker_main(
     slot_lanes: int,
     kind: str,
     n: int,
-    backend: str,
     cache_capacity: int,
     shuffle_m: int,
     seed_salt: int,
@@ -247,7 +242,7 @@ def _worker_main(
         if kind == "shuffle":
             engine = ShuffleEngine(n, m=shuffle_m, seed_salt=seed_salt)
         else:
-            engine = ConverterEngine(n, backend=backend)
+            engine = ConverterEngine(n)
             cache = ResultCache(cache_capacity)
         conn.send(("ready", os.getpid()))
         while True:
@@ -318,7 +313,7 @@ class _WorkerProc:
     """
 
     def __init__(self, key, replica: int, worker_id: int, ctx, config: PoolConfig,
-                 slot_lanes: int, backend: str, shuffle_m: int, seed_salt: int):
+                 slot_lanes: int, shuffle_m: int, seed_salt: int):
         kind, n = key
         self.key = key
         self.replica = replica
@@ -348,7 +343,6 @@ class _WorkerProc:
                 slot_lanes,
                 kind,
                 n,
-                backend,
                 config.worker_cache_capacity,
                 shuffle_m,
                 seed_salt,
@@ -747,7 +741,6 @@ class WorkerPool:
 
     def _spawn_locked(self, group: _ShardGroup, slot: int) -> _WorkerProc | None:
         """Spawn one replica into ``slot`` (group lock held)."""
-        kind, n = group.key
         worker_id = next(self._worker_ids)
         respawn = group.slot_spawns[slot] > 0
         try:
@@ -758,7 +751,6 @@ class WorkerPool:
                 self._ctx,
                 self.config,
                 self.slot_lanes,
-                self._backend_for(n),
                 self.shuffle_m,
                 # distinct salt per spawned shuffle worker: a restarted
                 # replica must not replay its predecessor's LFSR stream
@@ -788,20 +780,6 @@ class WorkerPool:
                 shard=group.label,
             )
         return worker
-
-    def _backend_for(self, n: int) -> str:
-        """The measured-crossover rule for ``engine="auto"``.
-
-        The vector engine's per-lane cost only drops below the compiled
-        engine's from a few hundred lanes per sweep, and its uint64
-        index bus caps the index width at 64 bits — below either bound
-        the compiled engine wins.
-        """
-        if self.config.engine != "auto":
-            return self.config.engine
-        if self.slot_lanes >= 256 and index_width(n) <= 64:
-            return "vector"
-        return "compiled"
 
     def _release(self, group: _ShardGroup, worker: _WorkerProc, failed: bool) -> None:
         with group.cond:

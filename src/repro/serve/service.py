@@ -104,8 +104,8 @@ _QUEUE_DEPTH = _metrics.REGISTRY.gauge(
 _BATCH_LANES = _metrics.REGISTRY.histogram(
     "repro_serve_batch_lanes",
     "lanes per executed batch",
-    # spans every engine's sweep quantum: the compiled engine tops out
-    # at one 64-bit word of lanes, the vector engine at 4096
+    # spans every engine's sweep quantum: 63 lanes on the compiled
+    # engine, 4096 on ``vector`` (the same kernel, wider quantum)
     buckets=(1, 2, 4, 8, 16, 32, 64, 256, 1024, 4096),
 )
 _STAGE_SECONDS = _metrics.REGISTRY.histogram(
@@ -291,8 +291,8 @@ class ServiceConfig:
     defaults to that quantum and is capped at it: admitting more
     requests than one sweep carries would only add deadline latency.
     With the default ``"auto"`` engine the quantum is the compiled
-    engine's 63 lanes (one 64-bit word per packed lane-set);
-    ``engine="vector"`` lifts it to 4096.  ``batch_deadline_s`` bounds
+    engine's 63 lanes; ``engine="vector"`` runs the same compiled
+    kernel at a 4096-lane quantum.  ``batch_deadline_s`` bounds
     how long a lone request waits for company; ``max_queue_depth``
     (default 4x the quantum) bounds how many requests may be queued
     before admission control sheds.  ``max_n`` bounds the netlists one

@@ -260,6 +260,37 @@ class TestKillAndResume:
         )
         assert resumed.stats.state_dict() == first.stats.state_dict()
 
+    def test_vector_checkpoint_resumes_under_compiled(self, tmp_path, monkeypatch):
+        """A checkpoint written by a killed engine="vector" run resumes
+        under "compiled" to the uninterrupted run's exact state."""
+        from dataclasses import replace
+
+        ckpt = tmp_path / "campaign.json"
+        cfg = replace(self.CFG, engine="vector")
+
+        def die_after_first_round(round_index, state):
+            if round_index == 0:
+                raise RuntimeError("simulated crash")
+
+        monkeypatch.setattr(stream, "_after_round", die_after_first_round)
+        with pytest.raises(RuntimeError, match="simulated crash"):
+            run_population_campaign(
+                cfg, shards=4, workers=1, checkpoint_every=2,
+                checkpoint_path=ckpt, battery_draws=0,
+            )
+        assert load_checkpoint(ckpt)["config"]["engine"] == "vector"
+
+        monkeypatch.setattr(stream, "_after_round", lambda i, s: None)
+        resumed = run_population_campaign(
+            self.CFG, workers=1, checkpoint_path=ckpt, resume=True,
+            battery_draws=0,
+        )
+        uninterrupted = run_population_campaign(
+            self.CFG, shards=1, workers=1, battery_draws=0
+        )
+        assert resumed.resumed
+        assert resumed.stats.state_dict() == uninterrupted.stats.state_dict()
+
     def test_resume_requires_checkpoint_path(self):
         with pytest.raises(CampaignConfigError):
             run_population_campaign(self.CFG, resume=True, workers=1)

@@ -1,13 +1,13 @@
 """Lane/word boundary transposes: every packing helper round-trips.
 
-The simulators and the vector engine cross the lane boundary through a
-small family of transposes — ``bits_from_ints``/``ints_from_bits`` on
-the boolean side, ``pack_lanes``/``unpack_lanes`` on bigints,
-``lanes_to_words``/``words_to_lanes``/``vec_from_ints`` on word arrays.
-Hypothesis sweeps widths 1–128 so every dtype tier (uint8, uint16,
-uint32, uint64 and the >64-bit bigint fallback) and every word-boundary
-edge (63/64/65, 127/128) is exercised, and asserts the bigint and
-word-array packings are the *same bytes*.
+The simulators cross the lane boundary through a small family of
+transposes — ``bits_from_ints``/``ints_from_bits`` on the boolean side,
+``pack_lanes``/``unpack_lanes`` and the batch input transpose
+``_packed_from_ints`` on packed bigints.  Hypothesis sweeps widths
+1–128 so every dtype tier (uint8, uint16, uint32, uint64 and the
+>64-bit bigint fallback) and every word-boundary edge (63/64/65,
+127/128) is exercised, and asserts the one-shot batch transpose equals
+the per-wire packing.
 """
 
 from __future__ import annotations
@@ -15,15 +15,8 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.hdl.compile import pack_lanes, unpack_lanes, words_for
-from repro.hdl.simulator import bits_from_ints, ints_from_bits
-from repro.hdl.vector import (
-    lanes_to_words,
-    u64_from_int,
-    vec_from_ints,
-    vector_constants,
-    words_to_lanes,
-)
+from repro.hdl.compile import ones_mask, pack_lanes, unpack_lanes
+from repro.hdl.simulator import _packed_from_ints, bits_from_ints, ints_from_bits
 
 
 @st.composite
@@ -79,46 +72,35 @@ def test_bigint_fallback_beyond_uint64():
 
 @given(st.integers(1, 300), st.data())
 @settings(max_examples=100)
-def test_word_array_and_bigint_packings_agree(lanes, data):
-    """lanes_to_words produces the same bytes as pack_lanes, word by word."""
+def test_pack_lanes_round_trip(lanes, data):
+    """pack_lanes puts lane i at bit i and unpack_lanes inverts it."""
     bits = np.array(
         [data.draw(st.booleans()) for _ in range(lanes)], dtype=bool
     )
-    words = words_for(lanes)
-    arr = lanes_to_words(bits, words)
     value = pack_lanes(bits)
-    assert arr.shape == (words,)
-    assert np.array_equal(arr, u64_from_int(value, words))
-    assert np.array_equal(words_to_lanes(arr, lanes), bits)
+    assert value == sum(1 << i for i in range(lanes) if bits[i])
     assert np.array_equal(unpack_lanes(value, lanes), bits)
 
 
 @given(width_and_values())
 @settings(max_examples=100)
-def test_vec_from_ints_matches_bigint_transpose(case):
-    """The one-shot NumPy input transpose equals the per-wire bigint path."""
+def test_packed_from_ints_matches_per_wire_packing(case):
+    """The one-shot batch input transpose equals packing each wire."""
     width, values = case
     batch = len(values)
-    words = words_for(batch)
-    zero, ones = vector_constants(batch)
-    vec = vec_from_ints(values, width, batch, words, zero, ones)
+    packed = _packed_from_ints(values, width, batch, ones_mask(batch))
     ref = bits_from_ints(values, width)
-    assert len(vec) == width
-    for wire_words, lane in zip(vec, ref):
-        assert np.array_equal(wire_words, lanes_to_words(lane, words))
+    assert packed == [pack_lanes(lane) for lane in ref]
 
 
 @given(st.integers(1, 128), st.integers(2, 200))
 @settings(max_examples=60)
-def test_vec_from_ints_scalar_broadcast(width, batch):
-    """A single value broadcasts to the shared zero/ones constants."""
-    words = words_for(batch)
-    zero, ones = vector_constants(batch)
+def test_packed_from_ints_scalar_broadcast(width, batch):
+    """A single value broadcasts each bit to all lanes or none."""
+    ones = ones_mask(batch)
     value = (1 << width) - 1  # all bits set
-    vec = vec_from_ints([value], width, batch, words, zero, ones)
-    assert all(v is ones for v in vec)
-    vec0 = vec_from_ints([0], width, batch, words, zero, ones)
-    assert all(v is zero for v in vec0)
+    assert _packed_from_ints([value], width, batch, ones) == [ones] * width
+    assert _packed_from_ints([0], width, batch, ones) == [0] * width
 
 
 class TestBoundaryEdges:
@@ -132,7 +114,6 @@ class TestBoundaryEdges:
         rng = np.random.default_rng(7)
         for lanes in (1, 63, 64, 65, 1024, 4096):
             bits = rng.integers(0, 2, size=lanes).astype(bool)
-            words = words_for(lanes)
-            arr = lanes_to_words(bits, words)
-            assert np.array_equal(words_to_lanes(arr, lanes), bits)
-            assert np.array_equal(arr, u64_from_int(pack_lanes(bits), words))
+            value = pack_lanes(bits)
+            assert value.bit_length() <= lanes
+            assert np.array_equal(unpack_lanes(value, lanes), bits)

@@ -1,34 +1,31 @@
-"""Vector engine vs compiled bigints: bit-exact equivalence at any width.
+"""The ``vector`` backend: the compiled engine at a 4096-lane quantum.
 
-The vector backend runs the *same* exec-compiled kernels as the bigint
-engine, just over NumPy ``uint64`` word arrays — so the two must agree
-bit for bit on every circuit, batch width, overlay and SEU schedule.
-Hypothesis drives random netlists through both; explicit cases pin the
-wide-sweep behaviour (≥ 1024 lanes in one sweep) and the prepared-kernel
-cache tier.
+``vector`` registers a subclass of the compiled engine that changes only
+its capability record, so it must agree with ``compiled`` bit for bit
+on every circuit, batch width, overlay and SEU schedule — through every
+simulator hook.  Hypothesis drives random netlists through both names;
+explicit cases pin the wide-sweep behaviour (≥ 1024 lanes in one sweep)
+against the interpreter, and the registration itself.
 """
 
 from __future__ import annotations
+
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.hdl.compile import PackedFaultPlan
+from repro.hdl.engine import get_engine
 from repro.hdl.gates import Op
-from repro.hdl.netlist import Netlist
 from repro.hdl.simulator import (
     BatchEntry,
     CombinationalSimulator,
+    CompiledEngine,
     SequentialSimulator,
 )
-from repro.hdl.vector import (
-    VECTOR_SWEEP_LANES,
-    clear_vector_cache,
-    vector_cache_info,
-    vector_constants,
-    vector_kernel,
-)
+from repro.hdl.vector import VECTOR_SWEEP_LANES, VectorEngine
 from repro.robustness.faults import FaultOverlay, SEUFault, StuckAtFault
 
 from .test_compile import _ints, _registered
@@ -169,7 +166,31 @@ def test_vector_matches_compiled_sequential_with_faults(case, data):
 
 
 # --------------------------------------------------------------------- #
-# wide sweeps: the point of the engine
+# the registration
+
+
+class TestRegistration:
+    def test_overrides_no_hook(self):
+        """Every sweep runs the compiled engine's own code."""
+        assert get_engine("vector") is VectorEngine
+        assert issubclass(VectorEngine, CompiledEngine)
+        hooks = (
+            "comb_run", "batch_run", "seq_reset", "seq_step",
+            "seq_unpack_state", "seq_run_stream",
+        )
+        assert not set(hooks) & set(VectorEngine.__dict__)
+
+    def test_capabilities_differ_only_in_name_quantum_priority(self):
+        vec, comp = VectorEngine.capabilities, CompiledEngine.capabilities
+        assert vec.name == "vector" and vec.sweep_lanes == VECTOR_SWEEP_LANES
+        assert vec.auto_priority < comp.auto_priority
+        same = ("probes", "patch_masks", "seu_lanes", "general_overlays",
+                "incremental")
+        assert all(getattr(vec, f) == getattr(comp, f) for f in same)
+
+
+# --------------------------------------------------------------------- #
+# wide sweeps: the point of the backend
 
 
 class TestWideSweeps:
@@ -180,7 +201,7 @@ class TestWideSweeps:
         lanes = 1500
         assert lanes > 1024
         idx = [i % 120 for i in range(lanes)]
-        a = CombinationalSimulator(nl, backend="compiled").run({"index": idx})
+        a = CombinationalSimulator(nl, backend="interp").run({"index": idx})
         b = CombinationalSimulator(nl, backend="vector").run({"index": idx})
         assert _ints(a) == _ints(b)
 
@@ -193,7 +214,7 @@ class TestWideSweeps:
 
         nl = build_circuit("converter", 4)
         idx = [i % 24 for i in range(VECTOR_SWEEP_LANES)]
-        a = CombinationalSimulator(nl, backend="compiled").run({"index": idx})
+        a = CombinationalSimulator(nl, backend="interp").run({"index": idx})
         b = CombinationalSimulator(nl, backend="vector").run({"index": idx})
         assert _ints(a) == _ints(b)
 
@@ -202,7 +223,7 @@ class TestWideSweeps:
 
         nl = build_circuit("converter", 5)
         idx = np.arange(1200) % 120
-        ec = BatchEntry(nl, backend="compiled")
+        ec = BatchEntry(nl, backend="interp")
         ev = BatchEntry(nl, backend="vector")
         assert ev.engine.name == "vector"
         a = ec.run({"index": idx})
@@ -216,7 +237,7 @@ class TestWideSweeps:
         nl = build_circuit("converter", 4, pipelined=True)
         idx = np.arange(1100, dtype=np.int64) % 24
         stream = [{"index": idx}] * 7
-        sc = SequentialSimulator(nl, batch=1100, backend="compiled")
+        sc = SequentialSimulator(nl, batch=1100, backend="interp")
         sv = SequentialSimulator(nl, batch=1100, backend="vector")
         ref = sc.run_stream(stream)
         lazy = sv.run_stream(stream, materialize=False)
@@ -237,13 +258,30 @@ class TestWideSweeps:
         plan = PackedFaultPlan(lanes)
         for s, f in enumerate(sites, start=1):
             plan.stick(f.wire, f.value, slice(s * T, (s + 1) * T))
-        a = CombinationalSimulator(nl, backend="compiled").run(
+        a = CombinationalSimulator(nl, backend="interp").run(
             {"index": idx * slots}, overlay=plan
         )
         b = CombinationalSimulator(nl, backend="vector").run(
             {"index": idx * slots}, overlay=plan
         )
         assert _ints(a) == _ints(b)
+
+    @pytest.mark.parametrize("n", [21, 22])
+    def test_stream_block_past_64_bit_indices(self, n):
+        """A stream block of indices wider than 64 bits unranks exactly."""
+        from repro.core.converter import IndexToPermutationConverter
+        from repro.core.factorial import factorial
+        from repro.core.lehmer import rank
+
+        limit = factorial(n)
+        rng = random.Random(n)
+        block = [1 << 64, limit - 1] + [rng.randrange(limit) for _ in range(62)]
+        entry = BatchEntry(
+            IndexToPermutationConverter(n).build_netlist(), backend="vector"
+        )
+        (outs,) = entry.run_stream([{"index": block}])
+        rows = zip(*(outs[f"out{t}"] for t in range(n)))
+        assert [rank([int(v) for v in row]) for row in rows] == block
 
     def test_plan_lane_mismatch_rejected(self):
         from repro.flow import build_circuit
@@ -255,49 +293,3 @@ class TestWideSweeps:
             CombinationalSimulator(nl, backend="vector").run(
                 {"index": list(range(6))}, overlay=plan
             )
-
-
-# --------------------------------------------------------------------- #
-# the prepared-kernel cache tier
-
-
-class TestVectorCache:
-    def setup_method(self):
-        clear_vector_cache()
-
-    def test_same_width_hits(self):
-        nl = Netlist("c")
-        a = nl.input("a", 2)
-        nl.output("y", nl.gate(Op.AND, a[0], a[1]))
-        k1 = vector_kernel(nl, lanes=100)
-        k2 = vector_kernel(nl, lanes=100)
-        assert k1 == k2
-        info = vector_cache_info()
-        assert info["hits"] == 1 and info["misses"] == 1
-
-    def test_widths_cached_separately(self):
-        nl = Netlist("c")
-        a = nl.input("a", 2)
-        nl.output("y", nl.gate(Op.OR, a[0], a[1]))
-        vector_kernel(nl, lanes=64)
-        vector_kernel(nl, lanes=128)
-        assert vector_cache_info()["misses"] == 2
-
-    def test_kernel_eviction_propagates(self):
-        from repro.hdl.compile import evict_kernel
-
-        nl = Netlist("c")
-        a = nl.input("a", 2)
-        nl.output("y", nl.gate(Op.XOR, a[0], a[1]))
-        kern, _, _ = vector_kernel(nl, lanes=64)
-        evict_kernel(kern.fingerprint)
-        kern2, _, _ = vector_kernel(nl, lanes=64)
-        assert kern2 is not kern  # staleness check rebuilt the entry
-
-    def test_constants_tail_mask(self):
-        zero, ones = vector_constants(70)
-        assert zero.shape == ones.shape == (2,)
-        assert int(ones[0]) == 0xFFFFFFFFFFFFFFFF
-        assert int(ones[1]) == (1 << 6) - 1
-        with pytest.raises(ValueError):
-            ones[0] = 0  # read-only

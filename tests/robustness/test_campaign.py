@@ -91,6 +91,22 @@ class TestEngineIdentity:
         # fault-parallelism: far fewer sweeps than one-per-fault
         assert 0 < b.sweeps < a.sweeps
 
+    @pytest.mark.parametrize("model", ["stuck", "seu"])
+    def test_vector_quantum_packs_denser_identically(self, model):
+        """engine="vector" sizes packed slots from its 4096-lane quantum:
+        fewer sweeps than the 63-lane compiled quantum, same results."""
+
+        def run(engine):
+            return run_campaign(
+                CampaignSpec(circuit="converter", n=4, model=model, engine=engine)
+            )
+
+        c, v = run("compiled"), run("vector")
+        assert (c.benign, c.detected, c.silent) == (v.benign, v.detected, v.silent)
+        assert c.examples == v.examples
+        assert v.engine == "vector"
+        assert 0 < v.sweeps < c.sweeps
+
     def test_auto_resolves_to_fault_parallel(self):
         res = run_campaign(CampaignSpec(n=4, model="stuck", samples=12))
         assert res.engine == "compiled"

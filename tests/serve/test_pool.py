@@ -47,10 +47,17 @@ class TestCorrectness:
             assert sorted(row) == list(range(8))
 
     def test_vector_worker_backend(self):
-        """slot_lanes >= 256 flips the auto rule to the vector backend."""
+        """engine="vector" widens the worker's sweep, not its kernel.
+
+        The service admits 4096-lane batches, so the pool sizes its ring
+        slots to match and a 500-lane frame rides one worker sweep of
+        the compiled kernel.
+        """
         indices = list(range(500))
         with make_pooled(workers=1, engine="vector") as svc:
+            assert svc.pool.slot_lanes == 4096
             resp = svc.submit_wide("unrank", 6, len(indices), indices).result(30.0)
+        assert resp.mode == "worker" and resp.lanes == len(indices)
         want = IndexToPermutationConverter(6).convert_batch(indices)
         assert np.array_equal(resp.permutations, want)
 

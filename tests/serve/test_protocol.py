@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.factorial import factorial
 from repro.errors import ProtocolError
 from repro.serve.net.protocol import (
     MAX_COUNT,
@@ -75,6 +76,28 @@ class TestRequestEncodeErrors:
     def test_n_must_fit_a_byte(self):
         with pytest.raises(ProtocolError, match="wire format"):
             encode_request("shuffle", 256, 1)
+
+
+class TestIndexWidth:
+    """Indices are u64 on the wire: n = 20 fits, n = 21 does not."""
+
+    def test_largest_n20_index_round_trips(self):
+        top = factorial(20) - 1
+        frame = encode_request("unrank", 20, 1, indices=[top])
+        assert decode_request(body_of(frame)).indices == (top,)
+
+    @pytest.mark.parametrize("index", [factorial(21) - 1, 1 << 64, -1])
+    def test_unframeable_request_index_is_typed(self, index):
+        with pytest.raises(ProtocolError, match="u64"):
+            encode_request("unrank", 21, 1, indices=[index])
+
+    def test_unframeable_response_index_is_typed(self):
+        with pytest.raises(ProtocolError, match="u64"):
+            encode_response(
+                STATUS_OK, "unrank", 21, 1, 0,
+                indices=[factorial(21) - 1],
+                permutations=np.arange(21).reshape(1, 21),
+            )
 
 
 class TestRequestDecodeErrors:

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.converter import IndexToPermutationConverter
+from repro.core.factorial import factorial
+from repro.core.lehmer import rank
 from repro.errors import InvalidRequestError, ServiceOverloadedError
 from repro.hdl.compile import SWEEP_LANES
 from repro.obs.metrics import REGISTRY
@@ -46,6 +48,17 @@ class TestCorrectness:
         assert all(r.lanes == SWEEP_LANES for r in responses)
         for i, r in enumerate(responses):
             assert r.permutation == conv.convert(i)
+
+    @pytest.mark.parametrize("n", [20, 21, 22])
+    def test_vector_engine_matches_rank_oracle_past_64_bits(self, n):
+        """From n = 21 the index bus is wider than 64 bits; unranking
+        under engine="vector" still agrees with the rank oracle."""
+        limit = factorial(n)
+        indices = [i for i in (0, 1, (1 << 64) - 1, 1 << 64, limit - 1) if i < limit]
+        with make_service(engine="vector", max_n=22) as svc:
+            resp = svc.submit_wide("unrank", n, len(indices), indices).result(30.0)
+        assert resp.lanes == len(indices)
+        assert [rank([int(v) for v in row]) for row in resp.permutations] == indices
 
     def test_deadline_flush_serves_a_lone_request(self):
         with make_service(batch_deadline_s=0.002) as svc:
