@@ -515,37 +515,31 @@ def _cmd_serve_connect(args: argparse.Namespace) -> int:
 def _serve_health(svc) -> dict:
     """The ``/health`` document for a running serve command.
 
-    ``status`` is ``"ok"`` unless a supervised shard has lost its worker
-    or a pooled shard group has every replica down (lazy spawn means an
-    empty shard table is healthy, not degraded).  For the pooled tier the
-    document also carries per-worker rows (pid, shard, sweeps, restarts)
-    that ``obs top`` renders as its worker table.
+    ``status`` is ``"ok"`` unless a supervised shard has every replica
+    down (lazy spawn means an empty shard table is healthy, not
+    degraded).  The document also carries per-worker rows (pid, shard,
+    sweeps, restarts) that ``obs top`` renders as its worker table.
     """
-    pool = getattr(svc, "pool", None)
-    if pool is not None:
-        rows = pool.worker_rows()
-        by_shard: dict[str, list] = {}
-        for row in rows:
-            by_shard.setdefault(row["shard"], []).append(row)
-        shards = {
-            shard: {
-                "alive": sum(1 for r in group if r["alive"]),
-                "replicas": len(group),
-            }
-            for shard, group in by_shard.items()
-        }
-        ok = all(info["alive"] > 0 for info in shards.values())
-        return {
-            "status": "ok" if ok else "degraded",
-            "shards": shards,
-            "workers": rows,
-        }
-    supervisor = getattr(svc, "supervisor", None)
-    if supervisor is None:
+    executor = getattr(svc, "pool", None) or getattr(svc, "supervisor", None)
+    if executor is None:
         return {"status": "ok", "shards": {}}
-    shards = supervisor.health_check()
-    ok = all(info["alive"] for info in shards.values())
-    return {"status": "ok" if ok else "degraded", "shards": shards}
+    rows = executor.worker_rows()
+    by_shard: dict[str, list] = {}
+    for row in rows:
+        by_shard.setdefault(row["shard"], []).append(row)
+    shards = {
+        shard: {
+            "alive": sum(1 for r in group if r["alive"]),
+            "replicas": len(group),
+        }
+        for shard, group in by_shard.items()
+    }
+    ok = all(info["alive"] > 0 for info in shards.values())
+    return {
+        "status": "ok" if ok else "degraded",
+        "shards": shards,
+        "workers": rows,
+    }
 
 
 def _print_serve_report(args: argparse.Namespace, report, stats: dict) -> None:

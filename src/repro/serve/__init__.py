@@ -10,19 +10,18 @@ them together (:mod:`repro.serve.service`).  A closed-loop synthetic
 load generator (:mod:`repro.serve.loadgen`) drives it for the CLI
 ``serve`` subcommand and the serving benchmark.
 
-On top of the single-process service sits the supervised tier
-(:mod:`repro.serve.supervisor`): per-shard workers with heartbeats,
-stall detection, restart-with-backoff, circuit breakers and a
+On top of the single-process service sits one shard executor
+(:mod:`repro.serve.supervisor`): per-``(kind, n)`` replicas with stall
+detection, restart-with-backoff, circuit breakers and a
 worker → fallback → cache-only degradation ladder, with every served
-batch end-to-end oracle-checked.  The chaos harness
-(:mod:`repro.serve.chaos`) injects crashes, stalls, delays and payload
-corruption on a seeded schedule to prove the tier's invariants — no
-wrong permutation is ever served, killed workers restart, availability
-holds a floor while degraded.
-
-The multi-process tier (:mod:`repro.serve.pool`) moves sweeps into real
-worker processes — one shard group per ``(kind, n)`` with configurable
-replica counts, results returned through shared-memory rings — and the
+batch end-to-end oracle-checked.  It drives replicas over two
+transports: one thread per shard (:class:`SupervisedService`) or
+``workers`` processes per shard returning results through shared-memory
+rings (:class:`PooledService`, :mod:`repro.serve.pool`).  The chaos
+harness (:mod:`repro.serve.chaos`) injects crashes, stalls, delays and
+payload corruption on a seeded schedule into either transport to prove
+the ladder's invariants — no wrong permutation is ever served, killed
+workers restart, availability holds a floor while degraded.  The
 network tier (:mod:`repro.serve.net`) exposes the whole stack over a
 length-prefixed binary TCP protocol (``repro-serve/1``).
 """
@@ -64,6 +63,7 @@ from repro.serve.supervisor import (
     BreakerConfig,
     CircuitBreaker,
     FunctionalConverterEngine,
+    ShardExecutor,
     ShardWorker,
     SupervisedService,
     SupervisorConfig,
@@ -101,6 +101,7 @@ __all__ = [
     "BreakerConfig",
     "CircuitBreaker",
     "SupervisorConfig",
+    "ShardExecutor",
     "ShardWorker",
     "FunctionalConverterEngine",
     "SweepSupervisor",

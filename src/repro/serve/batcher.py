@@ -58,15 +58,16 @@ class PendingEntry:
 
 @dataclass(frozen=True)
 class Batch:
-    """A closed group of entries destined for one compiled sweep."""
+    """A closed group of entries destined for one compiled sweep.
+
+    ``lanes`` is the sweep lanes the entries occupy, counted once when
+    the group closes: the settle loop reads it per entry.
+    """
 
     batch_id: int
     key: Hashable
     entries: tuple[PendingEntry, ...]
-
-    @property
-    def lanes(self) -> int:
-        return sum(e.lanes for e in self.entries)
+    lanes: int
 
 
 @dataclass
@@ -153,7 +154,10 @@ class MicroBatcher:
         del self._groups[key]
         self._pending -= group.lanes
         batch = Batch(
-            batch_id=self._next_batch_id, key=key, entries=tuple(group.entries)
+            batch_id=self._next_batch_id,
+            key=key,
+            entries=tuple(group.entries),
+            lanes=group.lanes,
         )
         self._next_batch_id += 1
         return batch

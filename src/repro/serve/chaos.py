@@ -1,39 +1,45 @@
-"""Chaos harness for the supervised serving tier.
+"""Chaos harness for the supervised serving tiers.
 
-The supervised tier's claims — no wrong permutation is ever served, every
+The supervised tiers' claims — no wrong permutation is ever served, every
 killed worker is restarted, availability survives degradation — are only
 worth stating if something actually kills workers and corrupts payloads.
 This module is that something.
 
-:class:`ChaosMonkey` is the injection policy.  Workers consult it before
-and after every sweep (see :class:`~repro.serve.supervisor.ShardWorker`)
-and it answers with a :class:`SweepPlan` drawn from one seeded RNG under
-one lock, so a campaign is reproducible for a given seed regardless of
-thread interleaving *in what it injects* (which sweep a given request
-lands in still depends on scheduling).  Five events cover the failure
-taxonomy:
+:class:`ChaosMonkey` is the injection policy.  The shard executor
+(:class:`~repro.serve.supervisor.ShardExecutor`) consults it once per
+worker attempt, whichever transport carries the replica, and it answers
+with a :class:`SweepPlan` drawn from one seeded RNG under one lock, so a
+campaign is reproducible for a given seed regardless of thread
+interleaving *in what it injects* (which sweep a given request lands in
+still depends on scheduling).  Five events cover the failure taxonomy:
 
 ``crash``
-    The worker raises :class:`~repro.errors.WorkerCrashedError` — its
-    thread exits like a dying worker process.  Exercises restart +
-    backoff.
+    The replica dies mid-sweep: a thread replica raises
+    :class:`~repro.errors.WorkerCrashedError` and exits, a process
+    replica is sent the ``crash`` order and exits via ``os._exit``.
+    Exercises restart + backoff.
 ``stall``
-    The worker sleeps past the supervisor's sweep deadline.  Exercises
-    stall detection and abandoned-worker replacement (the late result is
-    discarded, never served).
+    The replica sleeps past the executor's sweep deadline (in its thread,
+    or in the child on a ``stall`` message).  Exercises stall detection
+    and abandoned-replica replacement (the late result is discarded,
+    never served).
 ``delay``
     A short sleep *inside* the deadline — jitter, not a failure; the
     sweep must still succeed.
 ``corrupt``
     One element of the result is bit-flipped, which always breaks
     bijectivity (the flipped value duplicates another element or leaves
-    ``0..n−1``).  Exercises the bijectivity check and kernel quarantine.
+    ``0..n−1``).  Exercises the bijectivity check and quarantine.
 ``swap``
     Two elements of one lane are swapped: still a valid permutation,
     just the *wrong* one.  Only the independent rank-oracle can convict
     it — this is the silent-corruption case the end-to-end check exists
     for.  (A swapped *shuffle* lane is indistinguishable from a fair
     draw and is deliberately not convicted.)
+
+Corruption is applied by the executor to the rows the replica returned
+(for processes, the parent's copy of the ring slot), so both transports
+see it on the same path.
 
 For exact unit tests, ``script`` mode replaces the dice entirely: a
 mapping of global sweep ordinal → event name fires each event at a known
@@ -104,10 +110,11 @@ class ChaosSpec:
 class SweepPlan:
     """One sweep's injection decision, frozen at draw time.
 
-    ``before()`` runs in the executing thread before the engine sweep
-    (crashes and sleeps happen here); ``apply(perms)`` transforms the
-    result after it (payload corruption happens here, on a copy — the
-    engine's own buffers are never poisoned).
+    ``before()`` runs in a thread replica before the engine sweep
+    (crashes and sleeps happen here; a process replica turns the same
+    plan into pipe messages, sleeping ``sleep_s``); ``apply(perms)``
+    transforms the result after it (payload corruption happens here, on
+    a copy — the engine's own buffers are never poisoned).
     """
 
     __slots__ = ("event", "stall_s", "delay_s")
@@ -119,13 +126,18 @@ class SweepPlan:
         self.stall_s = stall_s
         self.delay_s = delay_s
 
+    @property
+    def sleep_s(self) -> float:
+        """How long the replica sleeps before sweeping (0 for no sleep)."""
+        if self.event == "stall":
+            return self.stall_s
+        return self.delay_s if self.event == "delay" else 0.0
+
     def before(self) -> None:
         if self.event == "crash":
             raise WorkerCrashedError("chaos: worker crashed mid-sweep")
-        if self.event == "stall":
-            _sup._sleep(self.stall_s)
-        elif self.event == "delay":
-            _sup._sleep(self.delay_s)
+        if self.sleep_s:
+            _sup._sleep(self.sleep_s)
 
     def apply(self, perms: np.ndarray) -> np.ndarray:
         if self.event == "corrupt":
@@ -142,7 +154,7 @@ class SweepPlan:
 
 
 class ChaosMonkey:
-    """Seeded, thread-safe injection policy shared by all workers.
+    """Seeded, thread-safe injection policy shared by all replicas.
 
     Either probabilistic (``spec``) or scripted (``script``: global
     sweep ordinal → event name; sweeps not listed run clean).  One lock
@@ -172,14 +184,6 @@ class ChaosMonkey:
         with self._lock:
             self._armed = False
 
-    def arm(self) -> None:
-        with self._lock:
-            self._armed = True
-
-    @property
-    def armed(self) -> bool:
-        return self._armed
-
     @property
     def total_injected(self) -> int:
         return sum(self.injected.values()) + self.fallback_injected
@@ -187,7 +191,7 @@ class ChaosMonkey:
     # ------------------------------------------------------------------ #
 
     def plan_sweep(self, key, worker_id: int) -> SweepPlan | None:
-        """One atomic draw for a worker sweep — a plan, or clean (None)."""
+        """One atomic draw for a worker attempt — a plan, or clean (None)."""
         with self._lock:
             ordinal = self.sweeps
             self.sweeps += 1

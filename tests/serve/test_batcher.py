@@ -151,3 +151,21 @@ class TestDrain:
         assert sorted(batch.key for batch in batches) == ["x", "y"]
         assert b.pending == 0
         assert b.take_all() == []
+
+
+class TestBatchLanes:
+    def test_every_close_path_records_the_lane_count(self):
+        """``Batch.lanes`` is set once at close; it must equal the
+        entries' lanes on the full, deadline and drain paths alike."""
+        b = MicroBatcher(8, 0.01)
+        closed = b.add("full", entry("w", lanes=5), now=0.0)
+        closed += b.add("full", entry("x", lanes=3), now=0.0)  # fills at 8
+        b.add("due", entry("y", at=0.0), now=0.0)
+        b.add("due", entry("z", at=0.0, lanes=4), now=0.0)
+        closed += b.take_due(0.01)
+        b.add("drain", entry("v", at=1.0, lanes=6), now=1.0)
+        closed += b.take_all()
+        assert [batch.key for batch in closed] == ["full", "due", "drain"]
+        assert [batch.lanes for batch in closed] == [8, 5, 6]
+        for batch in closed:
+            assert batch.lanes == sum(e.lanes for e in batch.entries)

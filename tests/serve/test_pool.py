@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.converter import IndexToPermutationConverter
 from repro.errors import ServiceOverloadedError
+from repro.obs.metrics import REGISTRY
 from repro.serve import (
     PermutationService,
     PoolConfig,
@@ -120,6 +121,30 @@ class TestSupervision:
             assert row["pid"] > 0 and row["sweeps"] >= 1
 
 
+class TestObservability:
+    def test_ladder_metrics_are_exported_after_one_sweep(self):
+        """The pool runs the same ladder as the supervised tier, so it
+        exports the same breaker gauge: one-hot, worker path closed."""
+        REGISTRY.enable()
+        try:
+            with make_pooled() as svc:
+                svc.convert(Request("unrank", 6, 1))
+            text = REGISTRY.render_exposition()
+        finally:
+            REGISTRY.disable()
+            REGISTRY.reset()
+        lines = [
+            l
+            for l in text.splitlines()
+            if l.startswith("repro_serve_breaker_state")
+            and 'path="worker"' in l
+            and "converter:6" in l
+        ]
+        assert len(lines) == 3  # closed / open / half_open all published
+        closed = [l for l in lines if 'state="closed"' in l]
+        assert closed and float(closed[0].rsplit(" ", 1)[1]) == 1.0
+
+
 class TestCacheAccounting:
     def test_front_and_worker_tiers_never_double_count(self):
         """Satellite invariant: a lane is accounted in exactly one tier.
@@ -167,14 +192,14 @@ class TestBackpressure:
     def test_saturated_shard_sheds_with_overloaded(self):
         with make_pooled(workers=1) as svc:
             svc.convert(Request("unrank", 6, 0))  # materialise the group
-            (group,) = svc.pool._groups.values()
+            (shard,) = svc.pool._shards.values()
             limit = svc.pool.config.sweep_limit
-            group.depth = limit  # white-box: pin the gauge at the ceiling
+            shard.depth = limit  # white-box: pin the gauge at the ceiling
             try:
                 with pytest.raises(ServiceOverloadedError) as exc_info:
                     svc.submit(Request("unrank", 6, 123))
             finally:
-                group.depth = 0
+                shard.depth = 0
             assert exc_info.value.queue_depth == limit
             # a fresh shard admits unconditionally (lazy groups are healthy)
             assert svc.convert(Request("unrank", 5, 0)).permutation is not None

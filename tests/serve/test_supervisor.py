@@ -25,10 +25,13 @@ from repro.serve import (
     BreakerConfig,
     ChaosMonkey,
     CircuitBreaker,
+    PoolConfig,
+    PooledService,
     Request,
     ServiceConfig,
     SupervisedService,
     SupervisorConfig,
+    SweepPlan,
 )
 from repro.serve.supervisor import ShardWorker
 from repro.serve import supervisor as sup_mod
@@ -49,18 +52,35 @@ class FakeClock:
 
 
 def make_supervised(
-    script=None, *, fallback=True, breaker=None, deadline=0.5, **svc_kw
-) -> SupervisedService:
+    script=None,
+    *,
+    transport="thread",
+    fallback=True,
+    breaker=None,
+    deadline=0.5,
+    **svc_kw,
+):
+    """A supervised service on either replica transport, one replica."""
     svc_kw.setdefault("batch_deadline_s", 0.001)
     chaos = ChaosMonkey(script=script) if script is not None else None
-    cfg = SupervisorConfig(
+    ladder = dict(
         sweep_deadline_s=deadline,
         restart_backoff_s=0.0,
         restart_backoff_max_s=0.0,
         fallback=fallback,
         breaker=breaker or BreakerConfig(failure_threshold=3, recovery_s=0.05),
     )
-    return SupervisedService(ServiceConfig(**svc_kw), cfg, chaos=chaos)
+    if transport == "process":
+        return PooledService(
+            ServiceConfig(**svc_kw), PoolConfig(workers=1, **ladder), chaos=chaos
+        )
+    return SupervisedService(
+        ServiceConfig(**svc_kw), SupervisorConfig(**ladder), chaos=chaos
+    )
+
+
+def executor_of(svc):
+    return svc.pool if isinstance(svc, PooledService) else svc.supervisor
 
 
 class TestCircuitBreaker:
@@ -112,8 +132,6 @@ class TestCircuitBreaker:
             BreakerConfig(failure_threshold=0)
         with pytest.raises(ValueError):
             BreakerConfig(recovery_s=-1.0)
-        with pytest.raises(ValueError):
-            BreakerConfig(half_open_probes=0)
 
 
 class _ListEngine:
@@ -150,11 +168,10 @@ class TestShardWorker:
             worker.kill()
 
     def test_crash_kills_the_worker(self):
-        monkey = ChaosMonkey(script={0: "crash"})
-        worker = ShardWorker(("converter", 4), 0, _ListEngine(), chaos=monkey)
+        worker = ShardWorker(("converter", 4), 0, _ListEngine())
         try:
             with pytest.raises(WorkerCrashedError):
-                worker.run("payload", deadline_s=2.0)
+                worker.run("payload", deadline_s=2.0, plan=SweepPlan("crash"))
             assert not worker.alive
             with pytest.raises(WorkerCrashedError):
                 worker.run("again", deadline_s=2.0)  # dead workers stay dead
@@ -163,19 +180,27 @@ class TestShardWorker:
 
 
 class TestDegradationLadder:
+    """The ladder on the thread transport; the subclass below reruns
+    every case on the process transport."""
+
+    transport = "thread"
+
+    def make(self, script=None, **kw):
+        return make_supervised(script, transport=self.transport, **kw)
+
     def test_clean_sweeps_serve_from_the_worker_rung(self):
         conv = IndexToPermutationConverter(5)
-        with make_supervised(cache_capacity=0) as svc:
+        with self.make(cache_capacity=0) as svc:
             resp = svc.convert(Request("unrank", 5, 42))
         assert resp.permutation == conv.convert(42)
         assert resp.mode == "worker"
 
     def test_crash_fails_over_and_restarts_the_worker(self):
         conv = IndexToPermutationConverter(5)
-        with make_supervised(script={0: "crash"}, cache_capacity=0) as svc:
+        with self.make(script={0: "crash"}, cache_capacity=0) as svc:
             first = svc.convert(Request("unrank", 5, 10))
             second = svc.convert(Request("unrank", 5, 11))
-            stats = svc.supervisor.stats()
+            stats = executor_of(svc).stats()
         # the crashed sweep still served — from the interp fallback
         assert first.permutation == conv.convert(10)
         assert first.mode == "fallback"
@@ -188,30 +213,30 @@ class TestDegradationLadder:
 
     def test_stall_fails_over_and_discards_the_late_result(self):
         conv = IndexToPermutationConverter(5)
-        with make_supervised(
+        with self.make(
             script={0: "stall"}, cache_capacity=0, deadline=0.1
         ) as svc:
             resp = svc.convert(Request("unrank", 5, 7), timeout=10.0)
             after = svc.convert(Request("unrank", 5, 8), timeout=10.0)
-            stats = svc.supervisor.stats()
+            stats = executor_of(svc).stats()
         assert resp.permutation == conv.convert(7)
         assert resp.mode == "fallback"
         assert after.mode == "worker"  # replacement worker took over
         assert stats["restarts"] == 1
 
     def test_delay_inside_deadline_is_not_a_failure(self):
-        with make_supervised(script={0: "delay"}, cache_capacity=0) as svc:
+        with self.make(script={0: "delay"}, cache_capacity=0) as svc:
             resp = svc.convert(Request("unrank", 5, 3))
-            stats = svc.supervisor.stats()
+            stats = executor_of(svc).stats()
         assert resp.mode == "worker"
         assert stats["restarts"] == 0
 
     def test_corrupt_payload_is_never_served(self):
         conv = IndexToPermutationConverter(5)
-        with make_supervised(script={0: "corrupt"}, cache_capacity=0) as svc:
+        with self.make(script={0: "corrupt"}, cache_capacity=0) as svc:
             resp = svc.convert(Request("unrank", 5, 23))
             after = svc.convert(Request("unrank", 5, 24))
-            stats = svc.supervisor.stats()
+            stats = executor_of(svc).stats()
         # bijectivity conviction: the fallback served the true result
         assert resp.permutation == conv.convert(23)
         assert resp.mode == "fallback"
@@ -219,14 +244,16 @@ class TestDegradationLadder:
         assert after.permutation == conv.convert(24)
         assert after.mode == "worker"
         assert stats["check_failures"] == 1
-        assert stats["quarantines"] == 1  # the compiled kernel was evicted
+        # the thread transport evicts the compiled kernel; a process
+        # replica has no parent-side kernel — its respawn recompiles
+        assert stats["quarantines"] == (1 if self.transport == "thread" else 0)
         assert stats["restarts"] == 1
 
     def test_valid_but_wrong_payload_is_caught_by_the_rank_oracle(self):
         conv = IndexToPermutationConverter(5)
-        with make_supervised(script={0: "swap"}, cache_capacity=0) as svc:
+        with self.make(script={0: "swap"}, cache_capacity=0) as svc:
             resp = svc.convert(Request("unrank", 5, 99))
-            stats = svc.supervisor.stats()
+            stats = executor_of(svc).stats()
         assert resp.permutation == conv.convert(99)
         assert resp.mode == "fallback"
         assert stats["check_failures"] == 1
@@ -234,7 +261,7 @@ class TestDegradationLadder:
     def test_cache_only_mode_sheds_misses_but_serves_hits(self):
         # every worker sweep crashes and there is no fallback rung
         script = {i: "crash" for i in range(50)}
-        with make_supervised(
+        with self.make(
             script=script,
             fallback=False,
             breaker=BreakerConfig(failure_threshold=1, recovery_s=60.0),
@@ -249,23 +276,27 @@ class TestDegradationLadder:
                 svc.convert(Request("unrank", 5, 2))
             assert err.value.mode == "cache_only"
             assert svc.stats()["degraded_shed"] == 1
-            assert svc.supervisor.mode_for(("converter", 5)) == "cache_only"
+            assert executor_of(svc).mode_for(("converter", 5)) == "cache_only"
 
     def test_breaker_recloses_after_recovery(self):
         # crash the first sweep only; threshold 1 trips the breaker
-        with make_supervised(
+        with self.make(
             script={0: "crash"},
             breaker=BreakerConfig(failure_threshold=1, recovery_s=0.05),
             cache_capacity=0,
         ) as svc:
             first = svc.convert(Request("unrank", 5, 4))
             assert first.mode == "fallback"
-            assert svc.supervisor.mode_for(("converter", 5)) == "degraded"
+            assert executor_of(svc).mode_for(("converter", 5)) == "degraded"
             time.sleep(0.08)  # recovery window elapses → half-open
             probe = svc.convert(Request("unrank", 5, 5))
-            stats = svc.supervisor.stats()
+            stats = executor_of(svc).stats()
         assert probe.mode == "worker"  # the half-open probe succeeded
         assert stats["shards"]["('converter', 5)"]["breaker"] == "closed"
+
+
+class TestDegradationLadderOnProcesses(TestDegradationLadder):
+    transport = "process"
 
 
 class TestObservability:
