@@ -24,11 +24,8 @@ field               meaning
                     (requires a materialised wire-value table)
 ``patch_masks``     per-lane stuck-at masks — uniform stuck overlays and
                     :class:`~repro.hdl.compile.PackedFaultPlan` plans
-``seu_lanes``       per-lane SEU state flips on sequential stepping
 ``general_overlays``  the full interpreter overlay protocol, including
                     bridging faults that read aggressor wires mid-sweep
-``incremental``     event-driven sequential kernels (gates re-evaluate
-                    only on fanin change)
 ``auto_priority``   rank under ``backend="auto"`` — highest accepted
                     priority wins
 ==================  ====================================================
@@ -57,7 +54,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from importlib import import_module
-from typing import Any, ClassVar, Iterator, Mapping, Sequence, overload
+from typing import Any, ClassVar, Mapping, Sequence
 
 __all__ = [
     "BACKENDS",
@@ -81,9 +78,7 @@ class EngineCapabilities:
     sweep_lanes: int  #: payload-lane quantum per sweep
     probes: bool  #: can host a SimProbe (wire-value table)
     patch_masks: bool  #: per-lane stuck-at masks (packed fault plans)
-    seu_lanes: bool  #: per-lane SEU flips on sequential state
     general_overlays: bool  #: arbitrary overlay protocol (bridging...)
-    incremental: bool  #: event-driven sequential kernels
     auto_priority: int = 0  #: rank under ``backend="auto"`` (higher wins)
 
 
@@ -187,9 +182,10 @@ _BUILTINS_LOADED = False
 def register_engine(cls: type[Engine]) -> type[Engine]:
     """Class decorator: add an :class:`Engine` subclass to the registry.
 
-    Registration order defines the display order in :data:`BACKENDS`;
-    re-registering a name replaces the previous engine (latest wins), so
-    a test can shadow a builtin and restore it.
+    Registration order is :func:`engine_names` order (and
+    :data:`BACKENDS` lists the builtins in it); re-registering a name
+    replaces the previous engine (latest wins), so a test can shadow a
+    builtin and restore it.
     """
     name = cls.name
     if name == "auto":
@@ -279,52 +275,8 @@ def resolve_backend(
     return _general_fallback()
 
 
-class _BackendNames(Sequence[str]):
-    """Lazy live view of ``("auto", *engine_names())``.
-
-    Exposed as :data:`BACKENDS` (and re-exported by
-    :mod:`repro.hdl.simulator` for compatibility): membership tests,
-    iteration and formatting all see the registry as it is *now*, so a
-    backend registered after import — including the lazily-loaded
-    builtins — is never missing from validation or error messages.
-    """
-
-    def _names(self) -> tuple[str, ...]:
-        return ("auto", *engine_names())
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._names())
-
-    def __len__(self) -> int:
-        return len(self._names())
-
-    @overload
-    def __getitem__(self, index: int) -> str: ...
-
-    @overload
-    def __getitem__(self, index: slice) -> Sequence[str]: ...
-
-    def __getitem__(self, index: "int | slice") -> "str | Sequence[str]":
-        return self._names()[index]
-
-    def __contains__(self, item: object) -> bool:
-        return item in self._names()
-
-    def __repr__(self) -> str:
-        return repr(self._names())
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, tuple):
-            return self._names() == other
-        if isinstance(other, _BackendNames):
-            return True
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._names())
-
-
 #: Engine selectors accepted everywhere a ``backend``/``engine`` string
-#: is taken: ``("auto", "interp", "compiled", "vector")`` with the
-#: builtin registrations.
-BACKENDS = _BackendNames()
+#: is taken: ``"auto"`` plus the builtin engine names, in registration
+#: order.  A plain tuple: every engine registers at import of
+#: :mod:`repro.hdl.simulator` or :mod:`repro.hdl.vector`, none late.
+BACKENDS: tuple[str, ...] = ("auto", "interp", "compiled", "vector")

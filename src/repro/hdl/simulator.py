@@ -1014,9 +1014,7 @@ class InterpEngine(Engine):
         sweep_lanes=4096,
         probes=True,
         patch_masks=True,
-        seu_lanes=True,
         general_overlays=True,
-        incremental=False,
         auto_priority=0,
     )
 
@@ -1067,9 +1065,7 @@ class CompiledEngine(Engine):
         sweep_lanes=SWEEP_LANES,
         probes=False,
         patch_masks=True,
-        seu_lanes=True,
         general_overlays=False,
-        incremental=True,
         auto_priority=100,
     )
 

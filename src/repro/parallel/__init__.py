@@ -8,8 +8,8 @@ associatively.  The same holds for Monte-Carlo jobs through the LFSR
 jump-ahead decomposition (:meth:`repro.rng.lfsr.LFSRBase.jump`).
 
 * :mod:`repro.parallel.sharding` — deterministic work decomposition:
-  index ranges, leap-frog blocks, and a process-pool map with an ordered,
-  associative reduce;
+  index ranges, leap-frog blocks, and a fault-tolerant process-pool map
+  with an ordered, associative reduce;
 * :mod:`repro.parallel.experiments` — parallel versions of the heavy
   workloads (Fig.-4 histogram, derangement counting, BDD order search,
   P-class classification), each *bit-identical* to its sequential
@@ -20,7 +20,7 @@ jump-ahead decomposition (:meth:`repro.rng.lfsr.LFSRBase.jump`).
 from repro.parallel.sharding import (
     index_shards,
     ShardSpec,
-    parallel_map_reduce,
+    hardened_map_reduce,
 )
 from repro.parallel.experiments import (
     parallel_fig4_counts,
@@ -32,7 +32,7 @@ from repro.parallel.experiments import (
 __all__ = [
     "index_shards",
     "ShardSpec",
-    "parallel_map_reduce",
+    "hardened_map_reduce",
     "parallel_fig4_counts",
     "parallel_derangements",
     "parallel_best_order",

@@ -18,7 +18,7 @@ from repro.apps.pclass import p_representative
 from repro.core.factorial import factorial
 from repro.core.knuth import KnuthShuffleCircuit
 from repro.core.lehmer import unrank_batch
-from repro.parallel.sharding import ShardSpec, index_shards, parallel_map_reduce
+from repro.parallel.sharding import ShardSpec, hardened_map_reduce, index_shards
 
 __all__ = [
     "parallel_fig4_counts",
@@ -54,8 +54,8 @@ def parallel_fig4_counts(
     LFSR to the exact draw offset where its shard begins.
     """
     shards = index_shards(samples, workers)
-    return parallel_map_reduce(
-        _Fig4Work(_MCJob(n=n, m=m)), shards, _add_arrays, workers=workers
+    return hardened_map_reduce(
+        _Fig4Work(_MCJob(n=n, m=m)), shards, _add_arrays, workers=workers, retries=0
     )
 
 
@@ -89,8 +89,9 @@ def parallel_derangements(
 ) -> DerangementResult:
     """§III-C derangement counting over process shards (bit-exact)."""
     shards = index_shards(samples, workers)
-    count = parallel_map_reduce(
-        _DerangementWork(_MCJob(n=n, m=m)), shards, _add_ints, workers=workers
+    count = hardened_map_reduce(
+        _DerangementWork(_MCJob(n=n, m=m)), shards, _add_ints, workers=workers,
+        retries=0,
     )
     return DerangementResult(n=n, samples=samples, derangements=count)
 
@@ -148,8 +149,9 @@ def parallel_best_order(
     worker-count invariant.
     """
     shards = index_shards(factorial(n_vars), workers)
-    return parallel_map_reduce(
-        _OrderSearchWork(tt, n_vars), shards, _merge_order_results, workers=workers
+    return hardened_map_reduce(
+        _OrderSearchWork(tt, n_vars), shards, _merge_order_results,
+        workers=workers, retries=0,
     )
 
 
@@ -173,4 +175,6 @@ def parallel_classify(n_vars: int, workers: int = 4) -> set[int]:
     """All P-representatives, sharded over the 2^(2^n) truth tables."""
     total = 1 << (1 << n_vars)
     shards = index_shards(total, max(workers, 1) * 4)
-    return parallel_map_reduce(_ClassifyWork(n_vars), shards, _union, workers=workers)
+    return hardened_map_reduce(
+        _ClassifyWork(n_vars), shards, _union, workers=workers, retries=0
+    )

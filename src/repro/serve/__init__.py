@@ -52,12 +52,7 @@ from repro.serve.model import (
 )
 from repro.serve.net import NetServer, ServeConnection
 from repro.serve.pool import PoolConfig, PooledService, WorkerPool
-from repro.serve.service import (
-    CompletionFuture,
-    PermutationService,
-    ServiceConfig,
-    serve_bulk,
-)
+from repro.serve.service import CompletionFuture, PermutationService, ServiceConfig
 from repro.serve.supervisor import (
     BREAKER_STATES,
     BreakerConfig,
@@ -85,7 +80,6 @@ __all__ = [
     "CompletionFuture",
     "PermutationService",
     "ServiceConfig",
-    "serve_bulk",
     "LoadReport",
     "run_closed_loop",
     "run_socket_loadgen",

@@ -8,10 +8,12 @@ A :class:`Request` names one unit of work:
   draws the index from its scaled-LFSR source and unranks it;
 * ``shuffle`` — one output of the §III Knuth-shuffle cascade.
 
-Validation is centralised in :func:`validate_request` so the CLI, the
-service and the load generator all reject malformed requests with the
-same :class:`~repro.errors.InvalidRequestError` (a ``ValueError``
-subclass, like the rest of the caller-mistake taxonomy).
+Validation is written once, in :func:`validate_wide`: a single request
+is a one-lane frame, so :func:`validate_request` is that validator at
+``count == 1``.  The CLI, the service, the wire server and the load
+generator all reject malformed requests with the same
+:class:`~repro.errors.InvalidRequestError` (a ``ValueError`` subclass,
+like the rest of the caller-mistake taxonomy).
 
 The :class:`Response` carries the permutation plus the serving
 provenance the benchmarks and traces rely on: which batch the request
@@ -22,6 +24,7 @@ micro-batcher vs. time in the compiled sweep).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.core.factorial import factorial
@@ -120,40 +123,9 @@ class WideResponse:
 
 
 def validate_request(req: Request, max_n: int) -> None:
-    """Reject a malformed request with :class:`InvalidRequestError`.
-
-    Checks workload spelling, the ``n`` bounds (``shuffle`` needs at
-    least two elements; everything is capped at ``max_n`` so one request
-    cannot make the service compile an astronomically large netlist),
-    and the index contract described on :class:`Request`.
-    """
-    if req.workload not in WORKLOADS:
-        raise InvalidRequestError(
-            f"unknown workload {req.workload!r}; expected one of "
-            + ", ".join(WORKLOADS)
-        )
-    if isinstance(req.n, bool) or not isinstance(req.n, int):
-        raise InvalidRequestError(f"n must be an integer, got {req.n!r}")
-    floor = 2 if req.workload == "shuffle" else 1
-    if not (floor <= req.n <= max_n):
-        raise InvalidRequestError(
-            f"n={req.n} outside {floor}..{max_n} for workload {req.workload!r}"
-        )
-    if req.workload == "unrank":
-        if req.index is None:
-            raise InvalidRequestError("unrank requires an index")
-        if isinstance(req.index, bool) or not isinstance(req.index, int):
-            raise InvalidRequestError(f"index must be an integer, got {req.index!r}")
-        limit = factorial(req.n)
-        if not (0 <= req.index < limit):
-            raise InvalidRequestError(
-                f"index {req.index} outside 0..{limit - 1} for n={req.n}"
-            )
-    elif req.index is not None:
-        raise InvalidRequestError(
-            f"workload {req.workload!r} draws its own randomness; "
-            "index must not be supplied"
-        )
+    """:func:`validate_wide` for one :class:`Request`: a one-lane frame."""
+    indices = None if req.index is None else (req.index,)
+    validate_wide(req.workload, req.n, 1, indices, max_n, 1)
 
 
 def validate_wide(
@@ -164,14 +136,17 @@ def validate_wide(
     max_n: int,
     max_count: int,
 ) -> None:
-    """Reject a malformed wide submission with :class:`InvalidRequestError`.
+    """Reject a malformed submission with :class:`InvalidRequestError`.
 
-    Same rules as :func:`validate_request` applied per frame: workload
-    spelling, the ``n`` bounds, the index contract (``unrank`` supplies
-    exactly ``count`` in-range indices, the random workloads none), plus
-    the wide-specific ``count`` bounds — at least one lane, at most
-    ``max_count`` (the service's ``max_batch``: a wider entry could
-    never fit one sweep).
+    The one admission validator; a single request is a frame with
+    ``count == 1``.  Checks workload spelling, the ``n`` bounds
+    (``shuffle`` needs at least two elements; everything is capped at
+    ``max_n`` so one request cannot make the service compile an
+    astronomically large netlist), the ``count`` bounds (at least one
+    lane, at most ``max_count`` — the service's ``max_batch``: a wider
+    entry could never fit one sweep), and the index contract:
+    ``unrank`` supplies a sequence of exactly ``count`` in-range
+    integers, the random workloads none.
     """
     if workload not in WORKLOADS:
         raise InvalidRequestError(
@@ -190,7 +165,12 @@ def validate_wide(
         raise InvalidRequestError(f"count {count} outside 1..{max_count}")
     if workload == "unrank":
         if indices is None:
-            raise InvalidRequestError("unrank requires indices")
+            raise InvalidRequestError("unrank requires an index per lane")
+        # tuple first: the ABC check alone costs more than the rest
+        if type(indices) is not tuple and not isinstance(indices, Sequence):
+            raise InvalidRequestError(
+                f"indices must be a sequence of integers, got {type(indices).__name__}"
+            )
         if len(indices) != count:
             raise InvalidRequestError(
                 f"unrank sent {len(indices)} indices for count={count}"
@@ -206,5 +186,5 @@ def validate_wide(
     elif indices is not None:
         raise InvalidRequestError(
             f"workload {workload!r} draws its own randomness; "
-            "indices must not be supplied"
+            "no index may be supplied"
         )

@@ -239,6 +239,8 @@ def encode_request(
         idx = tuple(indices) if indices is not None else ()
         if len(idx) != count:
             raise ProtocolError(f"unrank frame needs {count} indices, got {len(idx)}")
+        if any(type(i) is bool for i in idx):
+            raise ProtocolError("a bool is not an index")
         body = header + _pack_indices(idx)
     else:
         if indices:

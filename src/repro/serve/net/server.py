@@ -24,8 +24,9 @@ loop; each connection is one coroutine.  The life of a frame:
 Framing violations (:class:`~repro.errors.ProtocolError`) are answered
 with a best-effort typed ``ERROR`` frame and the connection is closed —
 byte-level corruption means the stream is no longer frame-aligned.
-Semantic violations (zero count, bad ``n``, out-of-range index) answer
-``INVALID`` and keep the connection open.
+Semantic violations (zero count, bad ``n``, out-of-range index) are the
+service validator's to find; they answer ``INVALID`` and keep the
+connection open.
 
 The server never touches engine code: it is a pure protocol adapter
 over the service seams, so it works identically over the in-process
@@ -203,8 +204,6 @@ class NetServer:
     def _dispatch(self, request: wire.WireRequest, writer) -> None:
         """Submit one decoded frame; answer admission failures inline."""
         try:
-            if request.count == 0:
-                raise InvalidRequestError("count must be at least 1")
             future = self.service.submit_wide(
                 request.workload,
                 request.n,

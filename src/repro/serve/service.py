@@ -1,29 +1,36 @@
 """The permutation-serving hot path: admission, batching, execution.
 
 :class:`PermutationService` turns the compiled bit-packed engine into a
-request server.  The life of a request:
+request server with two doors: :meth:`PermutationService.submit` takes
+one :class:`~repro.serve.model.Request`, and
+:meth:`PermutationService.submit_wide` takes a frame of ``count`` lanes
+behind one future (the wire server's door).  A request is a one-lane
+frame, so both doors call one admission body and every step below is
+written once.  The life of a request:
 
-1. **Validate** — :func:`~repro.serve.model.validate_request`; malformed
+1. **Validate** — :func:`~repro.serve.model.validate_wide`; malformed
    requests raise :class:`~repro.errors.InvalidRequestError` before
    touching any shared state.
 2. **Resolve randomness** — a ``random_perm`` draws its index from the
    service's per-``n`` scaled-LFSR source (§II-C: "the index generator
    is simply a random number generator"), after which it is an unrank.
-3. **Cache** — deterministic results are looked up in a bounded LRU
-   keyed ``(workload, n, index)``; a hit returns a completed future
-   without ever entering the batcher.
-4. **Admit** — if the batcher already holds ``max_queue_depth`` entries
-   the request is *shed* with
+3. **Cache** — a one-lane deterministic request is looked up in a
+   bounded LRU keyed ``("unrank", n, index)``; a hit returns a
+   completed future without ever entering the batcher.
+4. **Admit** — if the lanes already queued plus this request's would
+   pass ``max_queue_depth`` the request is *shed* with
    :class:`~repro.errors.ServiceOverloadedError` (admission control: the
    queue, and with it every accepted request's latency, stays bounded).
+   A lone entry always admits.
 5. **Batch** — the request joins its ``(engine, n)`` group in the
    micro-batcher.  The group flushes when it reaches ``max_batch`` lanes
    (executed inline on the submitting thread — no handoff latency) or
    when the group's deadline expires (executed by the dispatcher
    thread).
-6. **Sweep** — the whole batch rides one compiled sweep; per-lane
-   results resolve the futures, with per-stage timings and the batch id
-   attached to every response.
+6. **Sweep** — the whole batch rides one compiled sweep; each entry's
+   rows resolve its future as a :class:`~repro.serve.model.Response`
+   (``submit``) or :class:`~repro.serve.model.WideResponse`
+   (``submit_wide``), with per-stage timings and the batch id attached.
 
 Everything observable is recorded when the global metrics registry is
 enabled: request counters by workload/outcome, queue-depth gauge, lane
@@ -39,12 +46,6 @@ span is threaded through :meth:`PermutationService._run_sweep` so
 supervised tiers hang their failover/fallback spans off the same
 ``trace_id`` — a response's ``batch_id`` links it to its exact sweep in
 the trace.
-
-:func:`serve_bulk` is the offline cousin: a large index array is split
-into sweep-quantum-sized shards (one shard per sweep, the quantum
-reported by the selected engine's capability record) and dispatched
-across worker processes through the hardened map-reduce runner,
-inheriting its retry/timeout machinery.
 """
 
 from __future__ import annotations
@@ -67,25 +68,17 @@ from repro.hdl.engine import resolve_backend
 from repro.obs import metrics as _metrics
 from repro.obs.metrics import FAST_LATENCY_BUCKETS
 from repro.obs.tracing import Span, Tracer
-from repro.parallel.sharding import bounded_shards, hardened_map_reduce
 from repro.rng.lfsr import FibonacciLFSR, dense_seed
 from repro.rng.scaled import ScaledRandomInteger
 from repro.serve.batcher import Batch, MicroBatcher, PendingEntry
 from repro.serve.cache import ResultCache
-from repro.serve.engine import ConverterEngine, EngineBank
-from repro.serve.model import (
-    Request,
-    Response,
-    WideResponse,
-    validate_request,
-    validate_wide,
-)
+from repro.serve.engine import EngineBank
+from repro.serve.model import Request, Response, WideResponse, validate_wide
 
 __all__ = [
     "CompletionFuture",
     "ServiceConfig",
     "PermutationService",
-    "serve_bulk",
     "batch_indices",
 ]
 
@@ -421,7 +414,7 @@ class PermutationService:
     # submission
 
     def submit(self, request: Request) -> CompletionFuture:
-        """Admit one request; returns a future for its response.
+        """Admit one request; returns a future for its :class:`Response`.
 
         Raises :class:`~repro.errors.InvalidRequestError` on malformed
         input, :class:`~repro.errors.ServiceOverloadedError` when the
@@ -432,7 +425,47 @@ class PermutationService:
         on a closed service.  The future resolves when the request's
         batch executes; a cache hit returns an already-resolved future.
         """
-        validate_request(request, self.config.max_n)
+        index = request.index
+        indices = None if index is None else (index,)
+        return self._admit(request.workload, request.n, 1, indices, False)
+
+    def submit_wide(
+        self,
+        workload: str,
+        n: int,
+        count: int,
+        indices=None,
+    ) -> CompletionFuture:
+        """Admit one *wide* request: ``count`` lanes behind one future.
+
+        The network front end's amortisation primitive — one socket
+        frame carrying ``count`` indices becomes a single batcher entry
+        occupying ``count`` sweep lanes, so the per-request admission
+        cost (validation, locking, future allocation) is paid once per
+        frame instead of once per lane.  The future resolves to a
+        :class:`~repro.serve.model.WideResponse` whose ``permutations``
+        is a ``(count, n)`` array.  Admission is :meth:`submit`'s, lane
+        for lane: the same taxonomy, and a ``count == 1`` deterministic
+        request checks the front result cache; wider requests skip the
+        front tier (the pooled path's worker-side caches handle them) so
+        front hit/miss accounting never double-counts.
+        """
+        return self._admit(workload, n, count, indices, True)
+
+    def _admit(
+        self, workload: str, n: int, count: int, indices, wide: bool
+    ) -> CompletionFuture:
+        """The one admission body behind :meth:`submit` and :meth:`submit_wide`.
+
+        A single request is a one-lane frame: validation, the request
+        id, the ``random_perm`` draw, the count-1 front-cache
+        short-circuit, the degradation gate, the shed rule and the
+        batcher add are written here once.  ``wide`` only picks the
+        response type the entry resolves to.
+        """
+        validate_wide(
+            workload, n, count, indices, self.config.max_n, self.config.max_batch
+        )
         metrics_on = _metrics.REGISTRY.enabled
         t_submit = time.perf_counter()
         run_inline: list[Batch] = []
@@ -441,14 +474,18 @@ class PermutationService:
                 raise ServiceShutdownError("service is closed")
             request_id = self._next_request_id
             self._next_request_id += 1
-            workload, n = request.workload, request.n
             key = ("shuffle", n) if workload == "shuffle" else ("converter", n)
-            index = request.index
-            if workload == "random_perm":
-                index = self._draw_index(n)
+            idx: tuple[int, ...] | None
+            if workload == "unrank":
+                idx = tuple(indices)
+            elif workload == "random_perm":
+                idx = tuple(self._draw_index(n) for _ in range(count))
+            else:
+                idx = None
+            adm = _Admitted(request_id, workload, n, count, idx, t_submit, wide)
             future = CompletionFuture(self._cond)
-            if workload != "shuffle":
-                cached = self._cache.get(("unrank", n, index))
+            if count == 1 and idx is not None:
+                cached = self._cache.get(("unrank", n, idx[0]))
                 if cached is not None:
                     if metrics_on:
                         _CACHE_TOTAL.inc(result="hit")
@@ -457,30 +494,15 @@ class PermutationService:
                     # the future is not visible to any other thread yet,
                     # so resolving it needs no notify
                     future._finish(
-                        Response(
-                            request_id=request_id,
-                            workload=workload,
-                            n=n,
-                            index=index,
-                            permutation=cached,  # type: ignore[arg-type]
-                            batch_id=None,
-                            lanes=0,
-                            cached=True,
-                            queued_s=0.0,
-                            sweep_s=0.0,
-                            total_s=total,
-                            mode="cached",
-                        ),
+                        adm.respond(None, cached, None, 0, 0.0, 0.0, total, "cached"),
                         None,
                     )
                     if metrics_on:
                         _MODE_TOTAL.inc(mode="cached")
-                        _LATENCY_DIGEST.observe(
-                            total, workload=workload, mode="cached"
-                        )
+                        _LATENCY_DIGEST.observe(total, workload=workload, mode="cached")
                     return future
                 # misses are counted at batch granularity in _execute:
-                # every admitted converter-batch entry was a miss here
+                # every admitted count-1 converter entry was a miss here
             try:
                 # Supervised tiers veto here when the shard's degradation
                 # ladder has stepped down to cache-only: hits (above)
@@ -501,119 +523,9 @@ class PermutationService:
                     _REQUESTS.inc(workload=workload, outcome="shed")
                 raise
             depth = self._batcher.pending
-            if depth >= self.config.max_queue_depth:
-                self._shed += 1
-                if metrics_on:
-                    _REQUESTS.inc(workload=workload, outcome="shed")
-                raise ServiceOverloadedError(
-                    f"queue depth {depth} at limit; request shed",
-                    queue_depth=depth,
-                    limit=self.config.max_queue_depth,
-                )
-            entry = PendingEntry(
-                request=_Admitted(request_id, workload, n, index, t_submit),
-                future=future,
-                enqueued_at=_monotonic(),
-            )
-            was_empty = self._batcher.pending == 0
-            run_inline = self._batcher.add(key, entry, entry.enqueued_at)
-            if not run_inline and was_empty:
-                # The dispatcher only needs waking when it had nothing
-                # to wait for: any later-opened group's deadline is by
-                # construction later than the one it is already armed
-                # on, so per-request notifies would be pure wakeup
-                # overhead on the hot path.
-                self._cond.notify_all()
-        for batch in run_inline:
-            self._execute(batch)
-        return future
-
-    def submit_wide(
-        self,
-        workload: str,
-        n: int,
-        count: int,
-        indices=None,
-    ) -> CompletionFuture:
-        """Admit one *wide* request: ``count`` lanes behind one future.
-
-        The network front end's amortisation primitive — one socket
-        frame carrying ``count`` indices becomes a single batcher entry
-        occupying ``count`` sweep lanes, so the per-request admission
-        cost (validation, locking, future allocation) is paid once per
-        frame instead of once per lane.  The future resolves to a
-        :class:`~repro.serve.model.WideResponse` whose ``permutations``
-        is a ``(count, n)`` array.  Raises exactly the same taxonomy as
-        :meth:`submit`.  A ``count == 1`` deterministic request checks
-        the front result cache like ``submit`` does; wider requests skip
-        the front tier (the pooled path's worker-side caches handle
-        them) so front hit/miss accounting never double-counts.
-        """
-        validate_wide(
-            workload, n, count, indices, self.config.max_n, self.config.max_batch
-        )
-        metrics_on = _metrics.REGISTRY.enabled
-        t_submit = time.perf_counter()
-        run_inline: list[Batch] = []
-        with self._cond:
-            if self._closed:
-                raise ServiceShutdownError("service is closed")
-            request_id = self._next_request_id
-            self._next_request_id += 1
-            key = ("shuffle", n) if workload == "shuffle" else ("converter", n)
-            idx: tuple[int, ...] | None
-            if workload == "unrank":
-                idx = tuple(int(i) for i in indices)
-            elif workload == "random_perm":
-                idx = tuple(self._draw_index(n) for _ in range(count))
-            else:
-                idx = None
-            future = CompletionFuture(self._cond)
-            if count == 1 and workload != "shuffle":
-                cached = self._cache.get(("unrank", n, idx[0]))
-                if cached is not None:
-                    if metrics_on:
-                        _CACHE_TOTAL.inc(result="hit")
-                        _REQUESTS.inc(workload=workload, outcome="ok")
-                    total = time.perf_counter() - t_submit
-                    future._finish(
-                        WideResponse(
-                            request_id=request_id,
-                            workload=workload,
-                            n=n,
-                            count=1,
-                            indices=idx,
-                            permutations=np.asarray([cached], dtype=np.int64),
-                            batch_id=None,
-                            lanes=0,
-                            cached=True,
-                            queued_s=0.0,
-                            sweep_s=0.0,
-                            total_s=total,
-                            mode="cached",
-                        ),
-                        None,
-                    )
-                    if metrics_on:
-                        _MODE_TOTAL.inc(mode="cached")
-                        _LATENCY_DIGEST.observe(total, workload=workload, mode="cached")
-                    return future
-            try:
-                self._degrade_gate(workload, key)
-            except ServiceDegradedError:
-                self._degraded_shed += 1
-                if metrics_on:
-                    _REQUESTS.inc(workload=workload, outcome="degraded")
-                raise
-            except ServiceOverloadedError:
-                self._shed += 1
-                if metrics_on:
-                    _REQUESTS.inc(workload=workload, outcome="shed")
-                raise
-            depth = self._batcher.pending
-            # a lone wide entry always admits (liveness even when count
-            # exceeds the depth limit); with company, shed on projected
-            # lane depth so wide traffic respects the same bound
+            # shed on projected lane depth; a lone entry always admits
+            # (liveness even when count exceeds the depth limit).  At
+            # count 1 this is ``depth >= max_queue_depth``.
             if depth > 0 and depth + count > self.config.max_queue_depth:
                 self._shed += 1
                 if metrics_on:
@@ -624,14 +536,15 @@ class PermutationService:
                     limit=self.config.max_queue_depth,
                 )
             entry = PendingEntry(
-                request=_AdmittedWide(request_id, workload, n, count, idx, t_submit),
-                future=future,
-                enqueued_at=_monotonic(),
-                lanes=count,
+                request=adm, future=future, enqueued_at=_monotonic(), lanes=count
             )
-            was_empty = self._batcher.pending == 0
             run_inline = self._batcher.add(key, entry, entry.enqueued_at)
-            if not run_inline and was_empty:
+            if not run_inline and depth == 0:
+                # The dispatcher only needs waking when it had nothing
+                # to wait for: any later-opened group's deadline is by
+                # construction later than the one it is already armed
+                # on, so per-request notifies would be pure wakeup
+                # overhead on the hot path.
                 self._cond.notify_all()
         for batch in run_inline:
             self._execute(batch)
@@ -804,7 +717,6 @@ class PermutationService:
         sweep_s = time.perf_counter() - exec_start
         done = time.perf_counter()
         responses = []
-        front_misses = 0
         if metrics_on:
             # Per-entry telemetry is two list appends; everything else —
             # label resolution, histogram/digest folds, counter incs —
@@ -814,52 +726,25 @@ class PermutationService:
             # (see bench_serving's overhead assertion).
             queued_vals: list[float] = []
             workload_totals: dict[str, list[float]] = {}
+        # count-1 converter results: each was a front-cache miss at
+        # admission and fills the front cache now
+        fills = []
         off = 0  # first sweep lane of the current entry
         for e in batch.entries:
             adm = e.request
             queued = max(0.0, exec_start - adm.submitted_at)
             total = done - adm.submitted_at
-            if type(adm) is _Admitted:
-                perm = tuple(int(v) for v in perms[off])
-                off += 1
-                resp = Response(
-                    request_id=adm.request_id,
-                    workload=adm.workload,
-                    n=adm.n,
-                    index=adm.index,
-                    permutation=perm,
-                    batch_id=batch.batch_id,
-                    lanes=batch.lanes,
-                    cached=False,
-                    queued_s=queued,
-                    sweep_s=sweep_s,
-                    total_s=total,
-                    mode=mode,
-                )
-                if kind == "converter":
-                    front_misses += 1
-            else:
-                # wide entry: its rows stay an ndarray slice — the
-                # socket encoder packs them straight into wire bytes
-                rows = perms[off : off + adm.count]
-                off += adm.count
-                resp = WideResponse(
-                    request_id=adm.request_id,
-                    workload=adm.workload,
-                    n=adm.n,
-                    count=adm.count,
-                    indices=adm.indices,
-                    permutations=rows,
-                    batch_id=batch.batch_id,
-                    lanes=batch.lanes,
-                    cached=False,
-                    queued_s=queued,
-                    sweep_s=sweep_s,
-                    total_s=total,
-                    mode=mode,
-                )
-                if kind == "converter" and adm.count == 1:
-                    front_misses += 1
+            count = adm.count
+            # the entry's rows stay an ndarray slice — the socket
+            # encoder packs a wide entry's rows straight into wire bytes
+            rows = perms[off : off + count]
+            off += count
+            perm = tuple(rows[0].tolist()) if count == 1 else None
+            resp = adm.respond(
+                rows, perm, batch.batch_id, batch.lanes, queued, sweep_s, total, mode
+            )
+            if count == 1 and kind == "converter":
+                fills.append((("unrank", adm.n, adm.indices[0]), perm))
             responses.append((e.future, resp))
             if metrics_on:
                 queued_vals.append(queued)
@@ -890,7 +775,7 @@ class PermutationService:
                 (
                     batch.lanes,
                     len(batch.entries),
-                    front_misses,
+                    len(fills),
                     mode,
                     sweep_s,
                     queued_vals,
@@ -899,19 +784,8 @@ class PermutationService:
                 )
             )
         with self._cond:
-            if kind == "converter":
-                for _, resp in responses:
-                    if type(resp) is Response:
-                        self._cache.put(
-                            ("unrank", resp.n, resp.index), resp.permutation
-                        )
-                    elif resp.count == 1:
-                        # symmetric with the count==1 get in submit_wide;
-                        # wider entries stay out of the front tier
-                        self._cache.put(
-                            ("unrank", resp.n, resp.indices[0]),
-                            tuple(int(v) for v in resp.permutations[0]),
-                        )
+            for key, perm in fills:
+                self._cache.put(key, perm)
             self._completed += len(responses)
             for future, resp in responses:
                 future._finish(resp, None)
@@ -924,23 +798,16 @@ class PermutationService:
             self.tracer.adopt(span)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class _Admitted:
-    """An admitted request with its server-resolved index and timestamps."""
+    """An admitted entry: ``count`` lanes with server-resolved indices.
 
-    request_id: int
-    workload: str
-    n: int
-    index: int | None
-    submitted_at: float
-
-    def lane_indices(self) -> tuple:
-        return (self.index,)
-
-
-@dataclass(frozen=True)
-class _AdmittedWide:
-    """An admitted wide request: ``count`` lanes, one future."""
+    ``indices`` holds the caller's (``unrank``) or the drawn
+    (``random_perm``) index of every lane, ``None`` for shuffles.
+    ``wide`` records the door it came in by: :meth:`respond` builds a
+    :class:`~repro.serve.model.WideResponse` for ``submit_wide`` and a
+    :class:`~repro.serve.model.Response` for ``submit``.
+    """
 
     request_id: int
     workload: str
@@ -948,93 +815,62 @@ class _AdmittedWide:
     count: int
     indices: tuple[int, ...] | None
     submitted_at: float
+    wide: bool
 
-    def lane_indices(self) -> tuple:
-        return self.indices  # type: ignore[return-value]
+    def respond(
+        self,
+        rows,
+        perm: tuple[int, ...] | None,
+        batch_id: int | None,
+        lanes: int,
+        queued_s: float,
+        sweep_s: float,
+        total_s: float,
+        mode: str,
+    ) -> "Response | WideResponse":
+        """The entry's response: ``rows`` is its ``(count, n)`` slice of
+        the sweep (``None`` on a cache hit), ``perm`` its single row as
+        a tuple when ``count == 1``."""
+        cached = mode == "cached"
+        if self.wide:
+            return WideResponse(
+                request_id=self.request_id,
+                workload=self.workload,
+                n=self.n,
+                count=self.count,
+                indices=self.indices,
+                permutations=(
+                    np.asarray([perm], dtype=np.int64) if rows is None else rows
+                ),
+                batch_id=batch_id,
+                lanes=lanes,
+                cached=cached,
+                queued_s=queued_s,
+                sweep_s=sweep_s,
+                total_s=total_s,
+                mode=mode,
+            )
+        return Response(
+            request_id=self.request_id,
+            workload=self.workload,
+            n=self.n,
+            index=None if self.indices is None else self.indices[0],
+            permutation=perm,  # type: ignore[arg-type]
+            batch_id=batch_id,
+            lanes=lanes,
+            cached=cached,
+            queued_s=queued_s,
+            sweep_s=sweep_s,
+            total_s=total_s,
+            mode=mode,
+        )
 
 
 def batch_indices(batch: Batch) -> list[int]:
     """Flatten a converter batch's entries into per-lane indices.
 
-    Single entries contribute one index, wide entries ``count`` — the
-    flat list lines up with the sweep's lane order, which is how
-    ``_execute`` slices the result rows back out.
+    Each entry contributes its ``count`` indices — the flat list lines
+    up with the sweep's lane order, which is how ``_execute`` slices the
+    result rows back out.
     """
-    return [i for e in batch.entries for i in e.request.lane_indices()]
-
-
-# ---------------------------------------------------------------------- #
-# offline bulk path
-
-
-class _BulkShard:
-    """Picklable shard worker: unrank a contiguous slice of the indices.
-
-    Each worker process memoises one :class:`ConverterEngine` per
-    ``(n, engine)`` (module-level, so repeated shards in the same
-    process pay the netlist build once) and returns its shard's
-    ``(size, n)`` rows.
-    """
-
-    def __init__(self, n: int, indices: tuple[int, ...], engine: str = "auto"):
-        self.n = n
-        self.indices = indices
-        self.engine = engine
-
-    def __call__(self, shard) -> np.ndarray:
-        engine = _bulk_engine(self.n, self.engine)
-        return engine.run(self.indices[shard.start : shard.stop])
-
-
-_BULK_ENGINES: dict[tuple[int, str], ConverterEngine] = {}
-
-
-def _bulk_engine(n: int, backend: str = "auto") -> ConverterEngine:
-    key = (n, backend)
-    engine = _BULK_ENGINES.get(key)
-    if engine is None:
-        engine = _BULK_ENGINES[key] = ConverterEngine(n, backend=backend)
-    return engine
-
-
-def _stack_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.concatenate([a, b], axis=0)
-
-
-def serve_bulk(
-    n: int,
-    indices,
-    workers: int | None = None,
-    timeout: float | None = None,
-    retries: int = 2,
-    tracer: Tracer | None = None,
-    engine: str = "auto",
-) -> np.ndarray:
-    """Unrank a whole index array offline → ``(len(indices), n)`` rows.
-
-    The batch is cut into sweep-quantum-lane shards — each exactly one
-    sweep of the selected ``engine``, 63 lanes compiled / 4096 vector —
-    and dispatched through
-    :func:`~repro.parallel.sharding.hardened_map_reduce`, inheriting its
-    retry/timeout/backoff behaviour.  Results are concatenated in shard
-    order, so the output row order always matches the input regardless
-    of worker count.
-    """
-    idx = tuple(int(i) for i in indices)
-    limit = factorial(n)
-    for i in idx:
-        if not (0 <= i < limit):
-            raise ValueError(f"index {i} outside 0..{limit - 1} for n={n}")
-    if not idx:
-        return np.empty((0, n), dtype=np.int64)
-    quantum = resolve_backend(engine).capabilities.sweep_lanes
-    shards = bounded_shards(len(idx), quantum)
-    return hardened_map_reduce(
-        _BulkShard(n, idx, engine),
-        shards,
-        _stack_rows,
-        workers=workers,
-        timeout=timeout,
-        retries=retries,
-        tracer=tracer,
-    )
+    return [i for e in batch.entries for i in e.request.indices]

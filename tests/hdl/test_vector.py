@@ -184,8 +184,7 @@ class TestRegistration:
         vec, comp = VectorEngine.capabilities, CompiledEngine.capabilities
         assert vec.name == "vector" and vec.sweep_lanes == VECTOR_SWEEP_LANES
         assert vec.auto_priority < comp.auto_priority
-        same = ("probes", "patch_masks", "seu_lanes", "general_overlays",
-                "incremental")
+        same = ("probes", "patch_masks", "general_overlays")
         assert all(getattr(vec, f) == getattr(comp, f) for f in same)
 
 

@@ -1,6 +1,5 @@
 """PermutationService end to end: correctness, cache, admission, obs."""
 
-import numpy as np
 import pytest
 
 from repro.core.converter import IndexToPermutationConverter
@@ -15,7 +14,6 @@ from repro.serve import (
     Request,
     ServiceConfig,
     run_closed_loop,
-    serve_bulk,
 )
 
 
@@ -232,26 +230,71 @@ class TestObservability:
             assert child.attrs["batch_id"] == resp.batch_id
 
 
-class TestServeBulk:
-    def test_matches_convert_batch_in_order(self):
-        indices = list(range(0, 5040, 7))
-        got = serve_bulk(7, indices, workers=1)
-        want = IndexToPermutationConverter(7).convert_batch(indices)
-        assert np.array_equal(got, want)
+class TestOneAdmissionPath:
+    """``submit`` is ``submit_wide`` at one lane: same admission, same
+    answers, only the response type differs."""
 
-    def test_empty_input(self):
-        out = serve_bulk(5, [])
-        assert out.shape == (0, 5)
+    @staticmethod
+    def _drive(door, **cfg):
+        """A fixed request script through one door, inline sweeps only."""
+        cfg.setdefault("max_batch", 1)  # every admitted entry runs inline
+        with make_service(rng_seed=5, **cfg) as svc:
+            rows = []
+            for workload, n, index in (
+                ("unrank", 6, 3), ("unrank", 6, 3), ("unrank", 6, 719),
+                ("random_perm", 7, None), ("random_perm", 7, None),
+                ("unrank", 6, 719), ("shuffle", 5, None),
+            ):
+                rows.append(door(svc, workload, n, index).result(5.0))
+            return rows, svc.stats()
 
-    def test_rejects_out_of_range_index(self):
-        with pytest.raises(ValueError, match="outside"):
-            serve_bulk(4, [0, 24])
+    @staticmethod
+    def _one(svc, workload, n, index):
+        return svc.submit(Request(workload, n, index))
 
-    def test_multi_worker_row_order_is_deterministic(self):
-        indices = list(range(200))
-        a = serve_bulk(6, indices, workers=1)
-        b = serve_bulk(6, indices, workers=2)
-        assert np.array_equal(a, b)
+    @staticmethod
+    def _wide(svc, workload, n, index):
+        return svc.submit_wide(
+            workload, n, 1, None if index is None else (index,)
+        )
+
+    def test_count_one_serves_like_submit(self):
+        ones, one_stats = self._drive(self._one)
+        wides, wide_stats = self._drive(self._wide)
+        for a, b in zip(ones, wides):
+            assert type(b).__name__ == "WideResponse" and b.count == 1
+            assert b.permutations.shape == (1, a.n)
+            assert tuple(int(v) for v in b.permutations[0]) == a.permutation
+            assert b.indices == (None if a.index is None else (a.index,))
+            assert (a.cached, a.mode) == (b.cached, b.mode)
+        # random_perm draws the same LFSR indices for one seed
+        assert [r.index for r in ones[3:5]] == [r.indices[0] for r in wides[3:5]]
+        for key in ("submitted", "completed", "cache_hits", "cache_misses"):
+            assert one_stats[key] == wide_stats[key], key
+        assert one_stats["cache_hits"] == 2
+
+    @pytest.mark.parametrize("door", ["submit", "submit_wide"])
+    def test_same_shed_decision_at_max_queue_depth(self, door):
+        submit = self._one if door == "submit" else self._wide
+        with make_service(
+            batch_deadline_s=60.0, max_batch=8, max_queue_depth=3
+        ) as svc:
+            held = [submit(svc, "unrank", 6, i) for i in range(3)]
+            with pytest.raises(ServiceOverloadedError):
+                submit(svc, "unrank", 6, 3)
+            assert svc.stats()["shed"] == 1
+            assert svc.stats()["queued"] == 3
+        assert all(f.done() for f in held)
+
+    @pytest.mark.parametrize(
+        "indices", [iter([1, 2]), 5, {1, 2}], ids=["iterator", "scalar", "set"]
+    )
+    def test_indices_that_are_not_an_int_sequence_are_invalid(self, indices):
+        count = 1 if isinstance(indices, int) else 2
+        with make_service() as svc:
+            with pytest.raises(InvalidRequestError):
+                svc.submit_wide("unrank", 4, count, indices)
+            assert svc.stats()["submitted"] == 0
 
 
 class TestLoadGenerator:
