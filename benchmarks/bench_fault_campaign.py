@@ -14,10 +14,10 @@ Three questions an operator asks before enabling the robustness layer:
 
 import time
 
-from conftest import write_report
+from conftest import cold_campaign, write_report
 
 from repro.core.converter import IndexToPermutationConverter
-from repro.robustness.campaign import CampaignSpec, fault_list, run_campaign
+from repro.robustness.campaign import CampaignSpec, fault_list
 from repro.robustness.checkers import CheckedConverter
 
 N_CAMPAIGN = 5
@@ -32,7 +32,7 @@ def test_stuck_campaign_throughput(benchmark, results_dir):
     total = len(fault_list(spec))
 
     def run():
-        return run_campaign(spec)
+        return cold_campaign(spec)
 
     t0 = time.perf_counter()
     result = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -77,10 +77,10 @@ def test_vector_campaign_faults_per_sweep(benchmark, results_dir):
         circuit="converter", n=N_WIDE, model="stuck", engine="vector"
     )
     total = len(fault_list(spec_c))
-    res_c = run_campaign(spec_c)
+    res_c = cold_campaign(spec_c)
 
     def run():
-        return run_campaign(spec_v)
+        return cold_campaign(spec_v)
 
     res_v = benchmark.pedantic(run, rounds=1, iterations=1)
 

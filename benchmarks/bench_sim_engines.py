@@ -23,11 +23,11 @@ import time
 
 import numpy as np
 
-from conftest import write_report
+from conftest import cold_campaign, write_report
 
 from repro.core.converter import IndexToPermutationConverter
 from repro.hdl import SequentialSimulator
-from repro.robustness.campaign import CampaignSpec, fault_list, run_campaign
+from repro.robustness.campaign import CampaignSpec, fault_list
 
 SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 N = 6 if SMOKE else 8
@@ -87,9 +87,9 @@ def test_engine_speedup_and_identity(benchmark, results_dir):
     # -- exhaustive stuck-at campaign ----------------------------------- #
     spec = CampaignSpec(circuit="converter", n=N, model="stuck")
     faults = len(fault_list(spec))
-    res_i = run_campaign(CampaignSpec(circuit="converter", n=N, model="stuck", engine="interp"))
-    res_c = run_campaign(CampaignSpec(circuit="converter", n=N, model="stuck", engine="compiled"))
-    res_v = run_campaign(CampaignSpec(circuit="converter", n=N, model="stuck", engine="vector"))
+    res_i = cold_campaign(CampaignSpec(circuit="converter", n=N, model="stuck", engine="interp"))
+    res_c = cold_campaign(CampaignSpec(circuit="converter", n=N, model="stuck", engine="compiled"))
+    res_v = cold_campaign(CampaignSpec(circuit="converter", n=N, model="stuck", engine="vector"))
     counts_i = (res_i.benign, res_i.detected, res_i.silent)
     counts_c = (res_c.benign, res_c.detected, res_c.silent)
     counts_v = (res_v.benign, res_v.detected, res_v.silent)

@@ -32,6 +32,7 @@ import pytest
 
 from repro.obs import bench as obs_bench
 from repro.obs import history as obs_history
+from repro.robustness import campaign
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
 HISTORY_DIR = RESULTS_DIR / "history"
@@ -70,3 +71,16 @@ def write_report(
         )
     except (OSError, ValueError) as exc:
         print(f"bench-history ingest skipped for {name}: {exc}")
+
+
+def cold_campaign(spec: campaign.CampaignSpec) -> campaign.CampaignResult:
+    """``run_campaign`` from empty netlist and fault-list memos.
+
+    A campaign process builds its circuit once and reuses it; a timed
+    campaign that follows another in the same process would skip that
+    build.  Clearing the memos first makes every timed campaign pay its
+    one build, so ratios between timed campaigns compare like with like.
+    """
+    campaign._netlist.cache_clear()
+    campaign._fault_universe.cache_clear()
+    return campaign.run_campaign(spec)

@@ -16,15 +16,18 @@ fault by comparing against the golden (fault-free) run:
 
 The campaign is itself sharded over the fault list via
 :func:`~repro.parallel.sharding.hardened_map_reduce`, so a slow or
-crashed worker costs a resubmitted shard, not the campaign.  Fault
-lists are rebuilt deterministically inside each worker from the
-campaign spec — nothing heavyweight crosses the pickle boundary.
+crashed worker costs a resubmitted shard, not the campaign.  Each
+process builds a campaign's netlist and fault list once, deterministically
+from the spec, into two small private memos: forked workers inherit what
+the parent built, a spawned worker builds once, and nothing heavyweight
+crosses the pickle boundary.
 """
 
 from __future__ import annotations
 
+import functools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -178,19 +181,29 @@ class CampaignResult:
 # deterministic circuit / fault-list construction (worker-side too)
 
 
-def _build_netlist(spec: CampaignSpec) -> Netlist:
+@functools.lru_cache(maxsize=8)
+def _netlist(circuit: str, n: int, optimized: bool, pipelined: bool) -> Netlist:
+    """The campaign circuit, built once per process per key.
+
+    Shared by every campaign and shard in the process, so it must never
+    be mutated: faults go through overlays, never into the netlist.
+    """
     from repro.flow import build_circuit
     from repro.hdl.passes import PassManager
 
-    # SEUs need registers to hit: use the pipelined converter datapath.
-    pipelined = spec.circuit == "converter" and spec.model == "seu"
-    nl = build_circuit(spec.circuit, spec.n, pipelined=pipelined)
-    if spec.optimized:
+    nl = build_circuit(circuit, n, pipelined=pipelined)
+    if optimized:
         # Fault sites on the shipped (optimised) netlist: the same pass
         # pipeline the synthesis flow applies, so coverage numbers match
         # the circuit whose resources Tables III/IV report.
         nl = PassManager().run(nl).netlist
     return nl
+
+
+def _campaign_netlist(spec: CampaignSpec) -> Netlist:
+    # SEUs need registers to hit: use the pipelined converter datapath.
+    pipelined = spec.circuit == "converter" and spec.model == "seu"
+    return _netlist(spec.circuit, spec.n, spec.optimized, pipelined)
 
 
 def _test_indices(spec: CampaignSpec) -> list[int]:
@@ -217,9 +230,11 @@ def _seu_cycles(spec: CampaignSpec, nl: Netlist) -> tuple[int, ...]:
     return tuple(sorted({1, horizon // 2, max(1, horizon - 2)}))
 
 
-def fault_list(spec: CampaignSpec) -> list[Fault]:
-    """The campaign's fault universe, deterministic in ``spec`` alone."""
-    nl = _build_netlist(spec)
+@functools.lru_cache(maxsize=8)
+def _fault_universe(spec: CampaignSpec) -> tuple[Fault, ...]:
+    """:func:`fault_list` for a spec whose engine is normalised away
+    (the engine never changes the universe), memoised per process."""
+    nl = _campaign_netlist(spec)
     if spec.model == "stuck":
         sites: list[Fault] = list(stuck_fault_sites(nl))
     elif spec.model == "seu":
@@ -231,7 +246,19 @@ def fault_list(spec: CampaignSpec) -> list[Fault]:
         rng = np.random.default_rng(spec.seed)
         keep = rng.choice(len(sites), size=spec.samples, replace=False)
         sites = [sites[int(i)] for i in sorted(keep)]
-    return sites
+    return tuple(sites)
+
+
+def _campaign_faults(spec: CampaignSpec) -> tuple[Fault, ...]:
+    return _fault_universe(replace(spec, engine="auto"))
+
+
+def fault_list(spec: CampaignSpec) -> list[Fault]:
+    """The campaign's fault universe, deterministic in ``spec`` alone.
+
+    A fresh list on every call: the caller may edit it freely.
+    """
+    return list(_campaign_faults(spec))
 
 
 #: Lane budget per fault slot in a fault-parallel sweep: the slot count
@@ -264,7 +291,7 @@ class _Evaluator:
 
     def __init__(self, spec: CampaignSpec):
         self.spec = spec
-        self.netlist = _build_netlist(spec)
+        self.netlist = _campaign_netlist(spec)
         self.backend = spec.engine
         if spec.circuit == "converter":
             self.indices = _test_indices(spec)
@@ -297,12 +324,21 @@ class _Evaluator:
         else:
             slots = slots_cap
         self.chunk_faults = slots - 1
+        # One simulator for every combinational sweep of this evaluator:
+        # an evaluator takes either the per-fault or the packed path.
+        self.sim = (
+            CombinationalSimulator(
+                self.netlist,
+                backend=self.packed_backend if self.fault_parallel else spec.engine,
+            )
+            if self.combinational
+            else None
+        )
 
     def run(self, overlay: FaultOverlay | None) -> np.ndarray:
         spec, nl = self.spec, self.netlist
-        if self.combinational:
-            sim = CombinationalSimulator(nl, backend=self.backend)
-            outs = sim.run({"index": self.indices}, overlay=overlay)
+        if self.sim is not None:
+            outs = self.sim.run({"index": self.indices}, overlay=overlay)
             rows = np.empty((len(self.indices), spec.n), dtype=np.int64)
             for t in range(spec.n):
                 rows[:, t] = [int(v) for v in outs[f"out{t}"]]
@@ -331,7 +367,7 @@ class _Evaluator:
         """
         spec, nl = self.spec, self.netlist
         n, slots = spec.n, len(chunk) + 1
-        if self.combinational:
+        if self.sim is not None:
             per_fault = len(self.indices)
             lanes = slots * per_fault
             plan = PackedFaultPlan(lanes)
@@ -340,8 +376,7 @@ class _Evaluator:
                 plan.stick(
                     fault.wire, fault.value, slice(s * per_fault, (s + 1) * per_fault)
                 )
-            sim = CombinationalSimulator(nl, backend=self.packed_backend)
-            outs = sim.run({"index": list(self.indices) * slots}, overlay=plan)
+            outs = self.sim.run({"index": list(self.indices) * slots}, overlay=plan)
             cols = np.empty((lanes, n), dtype=np.int64)
             for t in range(n):
                 cols[:, t] = outs[f"out{t}"].astype(np.int64)
@@ -389,13 +424,14 @@ def _classify(golden: np.ndarray, faulty: np.ndarray, n: int) -> str:
 
 
 class _CampaignWork:
-    """Picklable per-shard worker: rebuilds everything from the spec."""
+    """Picklable per-shard worker: takes the netlist and fault list from
+    this process's memos (built from the spec on first use)."""
 
     def __init__(self, spec: CampaignSpec):
         self.spec = spec
 
     def __call__(self, shard: ShardSpec) -> dict:
-        faults = fault_list(self.spec)
+        faults = _campaign_faults(self.spec)
         ev = _Evaluator(self.spec)
         counts = {k: 0 for k in _CLASSES}
         examples: dict[str, list[str]] = {k: [] for k in _CLASSES}
@@ -460,7 +496,8 @@ def run_campaign(
     runner, so every shard attempt becomes a child span.
     """
     t0 = time.perf_counter()
-    faults = fault_list(spec)
+    # Fill both memos before the pool forks, so workers inherit them.
+    faults = _campaign_faults(spec)
     if not faults:
         raise ValueError(f"no {spec.model} fault sites in the {spec.circuit} netlist")
     ev = _Evaluator(spec)

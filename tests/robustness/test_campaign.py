@@ -3,6 +3,11 @@
 import numpy as np
 import pytest
 
+import repro.flow
+from repro.hdl.passes import PassManager
+from repro.hdl.serialize import netlist_fingerprint, netlist_to_dict
+from repro.obs.events import CollectingSink
+from repro.robustness import campaign
 from repro.robustness.campaign import (
     CampaignSpec,
     fault_list,
@@ -138,3 +143,100 @@ class TestShuffleCampaign:
         )
         assert res.detected == 0
         assert res.total == 30
+
+
+@pytest.fixture
+def cold():
+    """Start from empty per-process netlist and fault-list memos."""
+    campaign._netlist.cache_clear()
+    campaign._fault_universe.cache_clear()
+
+
+#: One campaign per kind of build: plain, pass-optimised, pipelined
+#: (SEU) and the per-fault bridging path.
+_BUILD_SPECS = {
+    "stuck": CampaignSpec(n=5, model="stuck"),
+    "optimized": CampaignSpec(n=5, model="stuck", optimized=True),
+    "seu": CampaignSpec(n=4, model="seu"),
+    "bridge": CampaignSpec(n=5, model="bridge", samples=40),
+}
+
+
+class TestBuildOnce:
+    """A campaign process builds its circuit and fault universe once, and
+    each evaluator sweeps through one simulator."""
+
+    @pytest.mark.parametrize("kind", sorted(_BUILD_SPECS))
+    def test_one_build_and_one_pass_run_per_campaign(self, kind, monkeypatch, cold):
+        spec = _BUILD_SPECS[kind]
+        calls = {"build": 0, "passes": 0}
+        build, passes = repro.flow.build_circuit, PassManager.run
+
+        def counted_build(*args, **kwargs):
+            calls["build"] += 1
+            return build(*args, **kwargs)
+
+        def counted_passes(self, *args, **kwargs):
+            calls["passes"] += 1
+            return passes(self, *args, **kwargs)
+
+        monkeypatch.setattr(repro.flow, "build_circuit", counted_build)
+        monkeypatch.setattr(PassManager, "run", counted_passes)
+        res = run_campaign(spec, workers=1)
+        assert res.total > 0
+        assert calls == {"build": 1, "passes": int(spec.optimized)}
+
+    def test_bridging_sweeps_one_simulator_per_shard(self, monkeypatch, cold):
+        made = []
+
+        class Counting(campaign.CombinationalSimulator):
+            def __init__(self, *args, **kwargs):
+                made.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(campaign, "CombinationalSimulator", Counting)
+        sink = CollectingSink()
+        res = run_campaign(_BUILD_SPECS["bridge"], workers=1, events=sink)
+        shards = next(e.fields["shards"] for e in sink.events if e.kind == "plan")
+        assert res.total == 40
+        # one per shard's evaluator plus the planning evaluator, not one
+        # per fault
+        assert len(made) <= shards + 1
+
+    @pytest.mark.parametrize("kind", ["stuck", "seu", "bridge"])
+    def test_shared_netlist_is_never_mutated(self, kind, cold):
+        spec = _BUILD_SPECS[kind]
+        nl = campaign._campaign_netlist(spec)
+        fingerprint, structure = netlist_fingerprint(nl), netlist_to_dict(nl)
+        run_campaign(spec)
+        assert campaign._campaign_netlist(spec) is nl
+        assert netlist_fingerprint(nl) == fingerprint
+        assert netlist_to_dict(nl) == structure
+
+    @pytest.mark.parametrize("engine", ["interp", "compiled"])
+    @pytest.mark.parametrize("model", ["stuck", "seu"])
+    def test_cold_and_warm_runs_agree(self, engine, model, cold):
+        spec = CampaignSpec(n=4, model=model, samples=30, engine=engine)
+        first = run_campaign(spec)
+        again = run_campaign(spec)
+        assert (first.total, first.benign, first.detected, first.silent) == (
+            again.total,
+            again.benign,
+            again.detected,
+            again.silent,
+        )
+        assert first.examples == again.examples
+
+    def test_fault_list_is_the_callers_to_edit(self):
+        spec = CampaignSpec(n=4, model="stuck")
+        mine = fault_list(spec)
+        universe = list(mine)
+        mine.clear()
+        fault_list(spec).append(StuckAtFault(0, True))
+        assert fault_list(spec) == universe
+        assert run_campaign(spec).total == len(universe)
+
+    def test_engine_does_not_split_the_fault_memo(self, cold):
+        fault_list(CampaignSpec(n=4, model="stuck", engine="interp"))
+        fault_list(CampaignSpec(n=4, model="stuck", engine="vector"))
+        assert campaign._fault_universe.cache_info().misses == 1
